@@ -26,7 +26,7 @@ The checking pipeline per run:
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.concurrency_checks import check_concurrency
 from repro.core.credit import CreditSchema, score_outcomes
@@ -39,7 +39,11 @@ from repro.core.semantics import run_semantic_checks
 from repro.core.syntax import check_static_syntax
 from repro.core.trace_model import PhaseSpecs, build_phased_trace
 from repro.execution.registry import UnknownMainError
-from repro.execution.runner import DEFAULT_TIMEOUT, ProgramRunner
+from repro.execution.runner import (
+    DEFAULT_TIMEOUT,
+    ExecutionResult,
+    ProgramRunner,
+)
 from repro.testfw.case import ScoredTestCase
 from repro.testfw.result import TestResult
 
@@ -214,9 +218,14 @@ class AbstractForkJoinChecker(ScoredTestCase):
         this hook makes a checker instance reusable across runs.
         """
 
-    def run(self) -> TestResult:
-        """Run the tested program once and grade its trace."""
-        self.reset_state()
+    def _execute(self) -> Union[ExecutionResult, TestResult]:
+        """Run the tested program once with its arguments and stdin.
+
+        Returns the execution when the program ran to completion.  An
+        unknown program, a crash or a timeout instead returns the fatal
+        zero-score result, labelled with its failure kind, and sets
+        :attr:`last_report`.
+        """
         identifier = self.main_class_identifier()
         runner = self.make_runner()
         try:
@@ -250,6 +259,14 @@ class AbstractForkJoinChecker(ScoredTestCase):
                 result=result, execution=execution
             )
             return result
+        return execution
+
+    def run(self) -> TestResult:
+        """Run the tested program once and grade its trace."""
+        self.reset_state()
+        execution = self._execute()
+        if isinstance(execution, TestResult):
+            return execution
 
         specs = self.phase_specs()
         trace = build_phased_trace(execution, specs)

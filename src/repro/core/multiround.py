@@ -44,7 +44,6 @@ from repro.core.trace_model import (
 )
 from repro.eventdb.events import PropertyEvent
 from repro.eventdb.queries import is_interleaved
-from repro.execution.registry import UnknownMainError
 from repro.execution.runner import ExecutionResult
 from repro.testfw.result import TestResult
 
@@ -259,24 +258,9 @@ class AbstractMultiRoundForkJoinChecker(AbstractForkJoinChecker):
 
     def run(self) -> TestResult:  # noqa: C901 - the orchestration method
         self.reset_state()
-        identifier = self.main_class_identifier()
-        try:
-            execution = self.make_runner().run(identifier, self.args())
-        except UnknownMainError as exc:
-            result = TestResult(
-                test_name=self.name, score=0.0, max_score=self.max_score, fatal=str(exc)
-            )
-            self.last_report = make_report(result=result)
-            return result
-        if not execution.ok:
-            result = TestResult(
-                test_name=self.name,
-                score=0.0,
-                max_score=self.max_score,
-                fatal=Messages.program_crashed(identifier, execution.failure_reason()),
-            )
-            self.last_report = make_report(result=result, execution=execution)
-            return result
+        execution = self._execute()
+        if isinstance(execution, TestResult):
+            return execution
 
         worker_specs = self._worker_phase_specs()
         round_pre = normalize_specs(self.round_pre_fork_property_names_and_types())

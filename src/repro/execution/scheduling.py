@@ -66,6 +66,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, Union
 
+from repro.util.handoff import Handoff
+
 __all__ = [
     "SCHEDULE_FORMAT_VERSION",
     "ScheduleAbort",
@@ -500,12 +502,19 @@ class ControlledScheduler:
     Worker keys are assigned at *spawn* time on the root thread (program
     order), not at enrollment (OS order), so the ready sets the strategy
     sees — and therefore the whole interleaving — are deterministic for
-    a deterministic tested program.
+    a deterministic tested program.  Each worker waits parked on its own
+    baton (:class:`~repro.util.handoff.Handoff`): a grant wakes only the
+    chosen worker, a worker granted again at its own yield point keeps
+    running, and abort, deadlock or replay divergence wakes every parked
+    worker to unwind.
     """
 
     def __init__(self, strategy: ScheduleStrategy) -> None:
         self.strategy = strategy
-        self._cv = threading.Condition()
+        self._lock = threading.Lock()
+        #: The root's wait in :meth:`start` for workers to enroll.
+        self._enrollment = threading.Condition(self._lock)
+        self._handoff = Handoff(self._lock)
         self._states: Dict[int, _WorkerState] = {}
         self._by_thread: Dict[int, int] = {}
         self._total_enrolled = 0
@@ -523,12 +532,12 @@ class ControlledScheduler:
     # -- root / backend side -------------------------------------------
     def register(self, key: int, name: str) -> None:
         """Pre-assign *key* (spawn order) to a worker named *name*."""
-        with self._cv:
+        with self._lock:
             self.workers[key] = name
 
     def register_lock(self) -> int:
         """Assign the next lock id (creation order) to a new lock."""
-        with self._cv:
+        with self._lock:
             lock_id = self._next_lock_id
             self._next_lock_id += 1
             return lock_id
@@ -536,8 +545,8 @@ class ControlledScheduler:
     def start(self, expected_total: int) -> None:
         """Open the gate once *expected_total* workers have ever enrolled
         (a cumulative count, so batched start/join patterns work)."""
-        with self._cv:
-            self._cv.wait_for(
+        with self._lock:
+            self._enrollment.wait_for(
                 lambda: self._aborted or self._total_enrolled >= expected_total
             )
             if self._aborted:
@@ -547,26 +556,25 @@ class ControlledScheduler:
 
     def abort(self) -> None:
         """Release every gated worker with :class:`ScheduleAbort`."""
-        with self._cv:
-            self._aborted = True
-            self._granted = None
-            self._cv.notify_all()
+        with self._lock:
+            self._abort()
 
     def live_workers(self) -> int:
-        with self._cv:
+        with self._lock:
             return len(self._states)
 
     # -- worker side ----------------------------------------------------
     def enroll(self, key: int) -> None:
         me = threading.get_ident()
-        with self._cv:
+        with self._lock:
             self._check_abort()
             if key in self._states:
                 raise RuntimeError(f"worker key {key} enrolled twice")
             self._states[key] = _WorkerState(key)
             self._by_thread[me] = key
             self._total_enrolled += 1
-            self._cv.notify_all()
+            self._handoff.add(key)
+            self._enrollment.notify_all()
             self._wait_for_grant(key)
 
     def yield_point(self, point: str) -> None:
@@ -576,29 +584,26 @@ class ControlledScheduler:
         is what makes it safe to call from the trace-session hook on
         every intercepted print.
         """
-        with self._cv:
+        with self._lock:
             key = self._by_thread.get(threading.get_ident())
             if key is None or self._aborted or not self._started:
                 return
-            self._grant_next(current=key, point=point)
-            self._wait_for_grant(key)
+            self._yield(key, point)
 
     def retire(self) -> None:
         me = threading.get_ident()
-        with self._cv:
+        with self._lock:
             key = self._by_thread.pop(me, None)
             if key is None:
                 return
             self._states.pop(key, None)
-            if self._aborted:
-                self._cv.notify_all()
-                return
-            if self._started:
+            self._handoff.discard(key)
+            if self._started and not self._aborted:
                 self._grant_next(current=key, point="retire")
 
     def participating(self) -> bool:
         """Is the calling thread an enrolled, un-aborted worker?"""
-        with self._cv:
+        with self._lock:
             return (
                 threading.get_ident() in self._by_thread and not self._aborted
             )
@@ -607,22 +612,20 @@ class ControlledScheduler:
     def acquire_lock(self, lock: "InstrumentedLock") -> None:
         """Enrolled-worker lock acquire: a yield point, then a wait that
         leaves the ready set while the lock is held elsewhere."""
-        with self._cv:
+        with self._lock:
             key = self._by_thread.get(threading.get_ident())
             if key is None:
                 raise RuntimeError("acquire_lock called by unenrolled thread")
             state = self._states[key]
             if self._started:
-                self._grant_next(
-                    current=key, point="lock-acquire", lock=lock.lock_id
-                )
-                self._wait_for_grant(key)
+                self._yield(key, "lock-acquire", lock.lock_id)
             while not lock.raw.acquire(blocking=False):
                 state.blocked_on = lock
                 self._grant_next(current=key, point="block", lock=lock.lock_id)
-                self._cv.wait_for(
+                self._handoff.park_until(
+                    key,
                     lambda: self._aborted
-                    or (state.blocked_on is None and self._granted == key)
+                    or (state.blocked_on is None and self._granted == key),
                 )
                 self._check_abort()
             lock.holder = key
@@ -639,17 +642,14 @@ class ControlledScheduler:
         release while the caller sleeps, so a timed wait is equivalent
         to (and recorded as) a single probe.
         """
-        with self._cv:
+        with self._lock:
             key = self._by_thread.get(threading.get_ident())
             if key is None:
                 raise RuntimeError(
                     "try_acquire_lock called by unenrolled thread"
                 )
             if self._started:
-                self._grant_next(
-                    current=key, point="lock-tryacquire", lock=lock.lock_id
-                )
-                self._wait_for_grant(key)
+                self._yield(key, "lock-tryacquire", lock.lock_id)
             acquired = lock.raw.acquire(blocking=False)
             if acquired:
                 lock.holder = key
@@ -661,7 +661,7 @@ class ControlledScheduler:
         Callable by enrolled workers (a yield point) and by free-running
         threads such as the root (waiters are unparked, no yield).
         """
-        with self._cv:
+        with self._lock:
             lock.holder = None
             lock.raw.release()
             woken = False
@@ -670,14 +670,10 @@ class ControlledScheduler:
                     state.blocked_on = None
                     woken = True
             if self._aborted:
-                self._cv.notify_all()
                 return
             key = self._by_thread.get(threading.get_ident())
             if key is not None and self._started:
-                self._grant_next(
-                    current=key, point="lock-release", lock=lock.lock_id
-                )
-                self._wait_for_grant(key)
+                self._yield(key, "lock-release", lock.lock_id)
             elif woken and self._granted is None and self._started:
                 # A free-running thread released the lock every live
                 # worker was parked on; restart granting.
@@ -685,7 +681,13 @@ class ControlledScheduler:
                     current=None, point="lock-release", lock=lock.lock_id
                 )
 
-    # -- internals (hold self._cv) --------------------------------------
+    # -- internals (hold self._lock) ------------------------------------
+    def _abort(self) -> None:
+        self._aborted = True
+        self._granted = None
+        self._handoff.unpark_all()
+        self._enrollment.notify_all()
+
     def _check_abort(self) -> None:
         if self._aborted:
             raise ScheduleAbort(
@@ -694,14 +696,21 @@ class ControlledScheduler:
                 + (f": {self.divergence}" if self.divergence else "")
             )
 
+    def _yield(self, key: int, point: str, lock: Optional[int] = None) -> None:
+        """Decide the next grant at *point*; park *key* unless it keeps
+        the grant."""
+        if self._grant_next(current=key, point=point, lock=lock) != key:
+            self._wait_for_grant(key)
+
     def _wait_for_grant(self, key: int) -> None:
-        self._cv.wait_for(
+        self._handoff.park_until(
+            key,
             lambda: self._aborted
             or (
                 self._started
                 and self._granted == key
                 and self._states[key].blocked_on is None
-            )
+            ),
         )
         self._check_abort()
 
@@ -715,7 +724,9 @@ class ControlledScheduler:
         current: Optional[int],
         point: str,
         lock: Optional[int] = None,
-    ) -> None:
+    ) -> Optional[int]:
+        """Record the strategy's choice at *point* and wake it if parked;
+        returns the granted worker (``None`` when no worker is ready)."""
         ready = self._ready()
         if not ready:
             if self._states and all(
@@ -732,19 +743,16 @@ class ControlledScheduler:
                 # granted-worker gate and can still release, at which
                 # point release_lock restarts granting.
                 self.deadlocked = True
-                self._aborted = True
+                self._abort()
             self._granted = None
-            self._cv.notify_all()
-            return
+            return None
         try:
             chosen = self.strategy.choose(
                 ready, current if current in ready else None, point, self._step
             )
         except ScheduleDivergenceError as exc:
             self.divergence = str(exc)
-            self._aborted = True
-            self._granted = None
-            self._cv.notify_all()
+            self._abort()
             raise ScheduleAbort(str(exc)) from exc
         if chosen not in ready:
             raise RuntimeError(
@@ -762,7 +770,9 @@ class ControlledScheduler:
         )
         self._step += 1
         self._granted = chosen
-        self._cv.notify_all()
+        if chosen != current:
+            self._handoff.unpark(chosen)
+        return chosen
 
 
 class InstrumentedLock:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Dict, List, Optional, Protocol
+from typing import List, Optional, Protocol
+
+from repro.util.handoff import Handoff
 
 __all__ = [
     "SchedulePolicy",
@@ -72,12 +74,19 @@ class CooperativeScheduler:
     starts it), ``checkpoint()`` at every scheduling point, ``retire()``
     on exit.  The scheduler begins granting when :meth:`start` is called
     — normally right after the root has forked all workers — so the
-    policy sees the full ready set from the first decision.
+    policy sees the full ready set from the first decision.  Each worker
+    waits for its grant parked on its own baton
+    (:class:`~repro.util.handoff.Handoff`): a grant wakes only the chosen
+    worker, and a worker that is granted again at its own checkpoint
+    keeps running without blocking.
     """
 
     def __init__(self, policy: Optional[SchedulePolicy] = None) -> None:
         self._policy = policy if policy is not None else RoundRobinPolicy()
-        self._cv = threading.Condition()
+        self._lock = threading.Lock()
+        #: The root's wait in :meth:`start` for workers to enroll.
+        self._enrollment = threading.Condition(self._lock)
+        self._handoff = Handoff(self._lock)
         #: Currently enrolled (live, unretired) worker keys.  Retired
         #: workers are removed immediately: ``id()`` values of dead thread
         #: objects can be recycled by the allocator, so keeping stale keys
@@ -95,30 +104,34 @@ class CooperativeScheduler:
 
     def enroll(self) -> None:
         me = self._me()
-        with self._cv:
+        with self._lock:
             if me in self._enrolled:
                 raise RuntimeError("thread enrolled twice")
             self._enrolled.append(me)
             self._total_enrolled += 1
-            self._cv.notify_all()
-            self._cv.wait_for(lambda: self._started and self._granted == me)
+            self._handoff.add(me)
+            self._enrollment.notify_all()
+            self._handoff.park_until(
+                me, lambda: self._started and self._granted == me
+            )
 
     def checkpoint(self) -> None:
         """Yield control; return when this thread is granted again."""
         me = self._me()
-        with self._cv:
+        with self._lock:
             if me not in self._enrolled:
                 # Unenrolled threads (the root) pass through untouched.
                 return
-            self._grant_next(current=me)
-            self._cv.wait_for(lambda: self._granted == me)
+            if self._grant_next(current=me) != me:
+                self._handoff.park_until(me, lambda: self._granted == me)
 
     def retire(self) -> None:
         me = self._me()
-        with self._cv:
+        with self._lock:
             if me not in self._enrolled:
                 return
             self._enrolled.remove(me)
+            self._handoff.discard(me)
             self._grant_next(current=me)
 
     # -- root side -------------------------------------------------------
@@ -126,22 +139,23 @@ class CooperativeScheduler:
         """Open the gate; optionally wait until *expected_workers* threads
         have ever enrolled (a cumulative count, so programs that start
         workers in several batches keep working)."""
-        with self._cv:
+        with self._lock:
             if expected_workers is not None:
-                self._cv.wait_for(lambda: self._total_enrolled >= expected_workers)
+                self._enrollment.wait_for(
+                    lambda: self._total_enrolled >= expected_workers
+                )
             self._started = True
             self._grant_next(current=None)
 
     # -- internals --------------------------------------------------------
-    def _ready(self) -> List[int]:
-        return list(self._enrolled)
-
-    def _grant_next(self, current: Optional[int]) -> None:
-        """Must hold the condition lock."""
-        ready = self._ready()
-        if not ready:
+    def _grant_next(self, current: Optional[int]) -> Optional[int]:
+        """Grant the policy's choice and wake it if parked; returns the
+        granted worker.  Must hold the scheduler lock."""
+        if not self._enrolled:
             self._granted = None
-            self._cv.notify_all()
-            return
-        self._granted = self._policy.choose(ready, current)
-        self._cv.notify_all()
+            return None
+        granted = self._policy.choose(list(self._enrolled), current)
+        self._granted = granted
+        if granted != current:
+            self._handoff.unpark(granted)
+        return granted

@@ -1,5 +1,7 @@
-"""Dependency-free utilities shared by the tracing and event-db layers."""
+"""Dependency-free utilities shared by the tracing, event-db and
+scheduling layers."""
 
+from repro.util.handoff import Handoff
 from repro.util.thread_registry import FIRST_THREAD_ID, ThreadRegistry
 
-__all__ = ["ThreadRegistry", "FIRST_THREAD_ID"]
+__all__ = ["Handoff", "ThreadRegistry", "FIRST_THREAD_ID"]

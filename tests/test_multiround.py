@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.multiround import build_multi_round_trace
+import threading
+
+from repro.core.multiround import (
+    AbstractMultiRoundForkJoinChecker,
+    build_multi_round_trace,
+)
 from repro.core.outcome import Aspect
 from repro.core.properties import ARRAY, NUMBER, PropertySpec
 from repro.core.trace_model import PhaseSpecs
+from repro.execution.registry import register_main, unregister_main
 from repro.execution.runner import ProgramRunner
+from repro.execution.taxonomy import RETRYABLE_KINDS, FailureKind
 from repro.graders.jacobi import JacobiFunctionality
 from repro.testfw.result import AspectStatus
 from repro.workloads.jacobi.spec import initial_grid, stencil
@@ -164,6 +171,84 @@ class TestJacobiGraderScores:
             t.values["New Heat"] for w in trace.rounds[2].workers for t in w.iterations
         ]
         assert heats_round0 != heats_round2
+
+
+class _OneRound(AbstractMultiRoundForkJoinChecker):
+    """A minimal multi-round checker around one registered program."""
+
+    def __init__(self, identifier, *, stdin=None, timeout=10.0):
+        super().__init__()
+        self._identifier = identifier
+        self._stdin = stdin
+        self._timeout = timeout
+
+    def main_class_identifier(self):
+        return self._identifier
+
+    def stdin_lines(self):
+        return self._stdin
+
+    def process_timeout(self):
+        return self._timeout
+
+    def num_rounds(self):
+        return 1
+
+
+class TestFailureClassification:
+    """A multi-round run fails the way a single-round run does: the
+    student's timeout or crash is labelled as such, so it is retryable
+    and not blamed on the harness."""
+
+    def run_registered(self, identifier, main, **kwargs):
+        register_main(identifier)(main)
+        try:
+            return _OneRound(identifier, **kwargs).run()
+        finally:
+            unregister_main(identifier)
+
+    def test_hang_past_the_timeout_is_a_timeout(self):
+        release = threading.Event()
+        try:
+            result = self.run_registered(
+                "multiround.test.hang",
+                lambda args: release.wait(10.0),
+                timeout=0.2,
+            )
+        finally:
+            release.set()
+        assert result.score == 0
+        assert "did not terminate" in result.fatal
+        assert result.failure_kind == "timeout"
+        assert FailureKind(result.failure_kind) in RETRYABLE_KINDS
+
+    def test_raising_program_is_a_crash(self):
+        def crash(args):
+            raise ZeroDivisionError("by zero")
+
+        result = self.run_registered("multiround.test.crash", crash)
+        assert result.score == 0
+        assert "ZeroDivisionError" in result.fatal
+        assert result.failure_kind == "crash"
+        assert FailureKind(result.failure_kind) in RETRYABLE_KINDS
+
+    def test_unknown_program_is_an_infra_error(self):
+        result = _OneRound("multiround.test.missing").run()
+        assert "no tested program" in result.fatal
+        assert result.failure_kind == "infra-error"
+
+    def test_program_reads_its_scripted_stdin(self):
+        seen = []
+
+        def reader(args):
+            seen.append(input())
+            seen.append(input())
+
+        result = self.run_registered(
+            "multiround.test.stdin", reader, stdin=["3", "4"]
+        )
+        assert seen == ["3", "4"]
+        assert not result.fatal
 
 
 class TestReferenceStencil:

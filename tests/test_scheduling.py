@@ -374,7 +374,7 @@ class TestFreeRunningRelease:
 
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            with scheduler._cv:
+            with scheduler._lock:
                 if (
                     scheduler._granted is None
                     and len(scheduler._states) == count
@@ -453,7 +453,7 @@ class TestFreeRunningRelease:
             deadline = time.monotonic() + 10.0
             parked = False
             while time.monotonic() < deadline:
-                with scheduler._cv:
+                with scheduler._lock:
                     state = scheduler._states.get(0)
                     parked = state is not None and state.blocked_on is not None
                 if parked:
