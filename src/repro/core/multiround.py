@@ -323,7 +323,11 @@ class AbstractMultiRoundForkJoinChecker(AbstractForkJoinChecker):
             schema = schema.override(overrides)
         score, lines = score_outcomes(merged, skipped, schema, self.max_score)
         result = TestResult(
-            test_name=self.name, score=score, max_score=self.max_score, outcomes=lines
+            test_name=self.name,
+            score=score,
+            max_score=self.max_score,
+            outcomes=lines,
+            failure_kind=execution.failure_kind.value,
         )
         self.last_report = make_report(result=result, execution=execution)
         return result

@@ -17,8 +17,10 @@ A recorded schedule is a decision list; decision *i* grants worker
 yield — whose kind is the *point* of decision *i + 1* (the final grant's
 segment ends in the worker's unrecorded last yield: ``retire``, or
 ``block`` when the run deadlocked).  The executed schedule is therefore
-a sequence of :class:`ScheduleEvent` ``(worker, kind)`` pairs, one per
-segment, in execution order.
+a sequence of ``(worker, kind)`` pairs, one per segment, in execution
+order: :func:`segment_stream` yields it, and the canonical form, the
+oracle's skeletons and the race analysis
+(:mod:`repro.execution.races`) all read it from there.
 
 Two events are **independent** (they commute) when they belong to
 different workers and at least one is a ``trace`` event; every other
@@ -63,8 +65,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.execution.scheduling import (
     ScheduleDecision,
@@ -76,6 +79,7 @@ from repro.execution.scheduling import (
 __all__ = [
     "COMMUTING_KINDS",
     "ScheduleEvent",
+    "segment_stream",
     "executed_events",
     "events_conflict",
     "canonical_form",
@@ -98,23 +102,28 @@ class ScheduleEvent:
     kind: str
 
 
-def executed_events(trace: ScheduleTrace) -> List[ScheduleEvent]:
-    """The executed-segment sequence of a recorded schedule.
+def segment_stream(trace: ScheduleTrace) -> Iterator[Tuple[int, str]]:
+    """Yield the executed segments of a recorded schedule, in order.
 
-    Decision *i*'s chosen worker runs a segment ended by decision
-    *i + 1*'s yield point; the last grant's segment ends in the
-    unrecorded final yield — ``retire`` on a completed run, ``block``
-    when the scheduler recorded a deadlock.
+    One ``(worker, kind)`` pair per decision: decision *i*'s chosen
+    worker runs a segment ended by decision *i + 1*'s yield point; the
+    last grant's segment ends in the unrecorded final yield — ``retire``
+    on a completed run, ``block`` when the scheduler recorded a
+    deadlock.
     """
-    decisions = trace.decisions
-    events: List[ScheduleEvent] = []
-    for index, decision in enumerate(decisions):
-        if index + 1 < len(decisions):
-            kind = decisions[index + 1].point
-        else:
-            kind = "block" if trace.deadlocked else "retire"
-        events.append(ScheduleEvent(worker=decision.chosen, kind=kind))
-    return events
+    decisions = iter(trace.decisions)
+    previous = next(decisions, None)
+    if previous is None:
+        return
+    for decision in decisions:
+        yield previous.chosen, decision.point
+        previous = decision
+    yield previous.chosen, "block" if trace.deadlocked else "retire"
+
+
+def executed_events(trace: ScheduleTrace) -> List[ScheduleEvent]:
+    """:func:`segment_stream` as a list of :class:`ScheduleEvent`."""
+    return [ScheduleEvent(worker, kind) for worker, kind in segment_stream(trace)]
 
 
 def events_conflict(a: ScheduleEvent, b: ScheduleEvent) -> bool:
@@ -133,15 +142,12 @@ def canonical_form(trace: ScheduleTrace) -> dict:
     the global projection onto conflicting (non-``trace``) events, with
     the deadlock verdict folded in.
     """
-    events = executed_events(trace)
     program_order: Dict[int, List[str]] = {}
-    for event in events:
-        program_order.setdefault(event.worker, []).append(event.kind)
-    conflict_order = [
-        [event.worker, event.kind]
-        for event in events
-        if event.kind not in COMMUTING_KINDS
-    ]
+    conflict_order: List[list] = []
+    for worker, kind in segment_stream(trace):
+        program_order.setdefault(worker, []).append(kind)
+        if kind not in COMMUTING_KINDS:
+            conflict_order.append([worker, kind])
     return {
         "program_order": {
             str(worker): kinds for worker, kinds in sorted(program_order.items())
@@ -170,9 +176,26 @@ class SimulatedRun:
     #: is unusable.
     complete: bool = True
 
-    @property
+    @cached_property
     def key(self) -> Optional[str]:
+        """The predicted happens-before key (``None`` when incomplete),
+        computed on first use."""
         return happens_before_key(self.trace) if self.complete else None
+
+    def key_of(self, executed: ScheduleTrace) -> str:
+        """The happens-before key of the *executed* run this predicted.
+
+        A run that recorded the predicted segment stream has the
+        predicted key, so only a run that strayed from the prediction
+        is hashed.
+        """
+        if (
+            self.key is not None
+            and executed.deadlocked == self.trace.deadlocked
+            and list(segment_stream(executed)) == list(segment_stream(self.trace))
+        ):
+            return self.key
+        return happens_before_key(executed)
 
 
 class _SimWorker:
@@ -218,20 +241,20 @@ class ScheduleOracle:
         if trace.workers and enrolled != set(trace.workers):
             return None  # late enrollment: skeletons would be partial
         skeletons: Dict[int, List[str]] = {key: [] for key in enrolled}
-        for event in executed_events(trace):
-            if event.worker not in skeletons:
+        for worker, kind in segment_stream(trace):
+            if worker not in skeletons:
                 return None
-            if event.kind == "lock-tryacquire":
+            if kind == "lock-tryacquire":
                 # A try-acquire's outcome is schedule-dependent and the
                 # program may branch on it, so the worker's yield-kind
                 # sequence is not a schedule-independent skeleton.
                 return None
-            if event.kind == "block":
+            if kind == "block":
                 # Lock contention, a schedule-dependent consequence the
                 # simulation re-derives from lock state; not a skeleton
                 # step.
                 continue
-            skeletons[event.worker].append(event.kind)
+            skeletons[worker].append(kind)
         for key, kinds in skeletons.items():
             if not kinds or kinds[-1] != "retire":
                 return None

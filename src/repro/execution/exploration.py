@@ -41,7 +41,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.checker import AbstractForkJoinChecker
-from repro.execution.equivalence import ScheduleOracle, happens_before_key
+from repro.execution.equivalence import (
+    ScheduleOracle,
+    SimulatedRun,
+    happens_before_key,
+)
 from repro.execution.races import RaceReport, analyze_trace, merge_reports
 from repro.execution.runner import in_process_session_lock
 from repro.execution.taxonomy import ConcurrencyVerdict
@@ -51,6 +55,7 @@ from repro.execution.scheduling import (
     PCTStrategy,
     RandomWalkStrategy,
     ReplayStrategy,
+    ScheduleDivergenceError,
     ScheduleStrategy,
     ScheduleTrace,
     ScheduledBackend,
@@ -353,14 +358,23 @@ class ExhaustiveSearch:
             strategy = ExhaustiveStrategy(prefix)
             trace: Optional[ScheduleTrace] = None
             failed = False
-            predicted = None
+            predicted: Optional[SimulatedRun] = None
             if oracle is not None and oracle_usable:
-                predicted = oracle.simulate(strategy.clone())
-                if predicted.complete and predicted.key in seen:
-                    failed = seen[predicted.key]
-                    trace = predicted.trace
-                    out.deduped += 1
-                    obs.counter("explore.deduped").inc()
+                try:
+                    predicted = oracle.simulate(strategy.clone())
+                except ScheduleDivergenceError:
+                    # The simulation cannot follow a prefix the program
+                    # realized (e.g. nested locks, which the conflated
+                    # lock mis-models): a misprediction, so fail open.
+                    out.mispredicted += 1
+                    obs.counter("explore.mispredicted").inc()
+                    oracle_usable = False
+                else:
+                    if predicted.key in seen:
+                        failed = seen[predicted.key]
+                        trace = predicted.trace
+                        out.deduped += 1
+                        obs.counter("explore.deduped").inc()
             if trace is None:
                 if out.executed >= self.max_schedules:
                     out.complete = False
@@ -378,13 +392,13 @@ class ExhaustiveSearch:
                         out.failing += 1
                         out.failing_payloads.append(payload)
                     continue
-                key = happens_before_key(real_trace)
-                if (
-                    predicted is not None
-                    and predicted.complete
-                    and predicted.key is not None
-                    and predicted.key != key
-                ):
+                if predicted is not None and predicted.key is not None:
+                    key = predicted.key_of(real_trace)
+                    mispredicted = key != predicted.key
+                else:
+                    key = happens_before_key(real_trace)
+                    mispredicted = False
+                if mispredicted:
                     out.mispredicted += 1
                     obs.counter("explore.mispredicted").inc()
                     oracle_usable = False  # fail open: execute everything

@@ -59,9 +59,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.execution.scheduling import ScheduleTrace
+from repro.execution.equivalence import segment_stream
+from repro.execution.scheduling import ScheduleDecision, ScheduleTrace
 
 __all__ = [
     "ACCESS_KINDS",
@@ -345,87 +346,85 @@ class _Walker:
         )
 
 
-def _segments(
-    trace: ScheduleTrace,
-) -> Tuple[List[Tuple[SegmentAccess, Dict[int, int], int, bool]], Dict[int, LockContention]]:
-    """Every executed segment with its lockset, clock snapshot, epoch,
-    and whether its worker ever touched a lock (final value) — plus the
-    per-lock contention counters gathered during the same walk."""
-    walker = _Walker(trace)
+def _lock_of(decision: ScheduleDecision) -> int:
+    return decision.lock if decision.lock is not None else _CONFLATED
+
+
+def analyze_trace(trace: ScheduleTrace, *, max_pairs: int = 32) -> RaceReport:
+    """Lockset + happens-before analysis of one recorded schedule.
+
+    One pass over the segment stream replays locks and clocks.  A
+    segment keeps a lockset and a clock snapshot only when it can be an
+    access — not ``trace``/``block``, and lock-held or ending at an
+    :data:`ACCESS_KINDS` point — and becomes a :class:`SegmentAccess`
+    only when it races.
+    """
     decisions = trace.decisions
-    names = trace.workers or {}
-    raw: List[Tuple[int, int, str, FrozenSet[int], Dict[int, int], int]] = []
-    for index, decision in enumerate(decisions):
-        lock = decision.lock if decision.lock is not None else _CONFLATED
-        yielder = decisions[index - 1].chosen if index > 0 else None
-        walker._apply_yield(yielder, decision.point, lock)
-        worker = decision.chosen
+    walker = _Walker(trace)
+    if decisions:
+        # The yield that ended whatever ran before the first grant.
+        walker._apply_yield(None, decisions[0].point, _lock_of(decisions[0]))
+    # (step, worker, kind, lockset, clock snapshot, epoch)
+    candidates: List[Tuple[int, int, str, FrozenSet[int], Dict[int, int], int]] = []
+    for step, (worker, kind) in enumerate(segment_stream(trace)):
         walker._grant(worker)
-        if index + 1 < len(decisions):
-            kind = decisions[index + 1].point
-        else:
-            kind = "block" if trace.deadlocked else "retire"
-        raw.append(
-            (
-                index,
-                worker,
-                kind,
-                walker.lockset_of(worker),
-                dict(walker.clocks.get(worker, {})),
-                walker.clocks.get(worker, {}).get(worker, 0),
-            )
+        if kind != "trace" and kind != "block":
+            lockset = walker.lockset_of(worker)
+            if lockset or kind in ACCESS_KINDS:
+                clock = walker.clocks[worker]
+                candidates.append(
+                    (step, worker, kind, lockset, dict(clock), clock[worker])
+                )
+        if step + 1 < len(decisions):
+            walker._apply_yield(worker, kind, _lock_of(decisions[step + 1]))
+
+    # Whether a worker ever touched a lock is known only after the walk.
+    used_locks = walker.used_locks
+    accesses = [
+        candidate
+        for candidate in candidates
+        if (
+            bool(candidate[3])
+            if used_locks.get(candidate[1], False)
+            else candidate[2] in ACCESS_KINDS
         )
-    result = []
-    for index, worker, kind, lockset, clock, epoch in raw:
-        access = SegmentAccess(
-            step=index,
+    ]
+
+    racing: Set[int] = set()  # indices into accesses
+    shown: List[Tuple[int, int]] = []
+    race_count = 0
+    for i, (_step, worker_a, _kind, lockset_a, _clock, epoch_a) in enumerate(accesses):
+        for j in range(i + 1, len(accesses)):
+            _, worker_b, _, lockset_b, clock_b, _ = accesses[j]
+            if worker_b == worker_a or not lockset_a.isdisjoint(lockset_b):
+                continue
+            # a executed before b; they are ordered iff b's clock has
+            # caught up with a's epoch via a synchronization edge.
+            if clock_b.get(worker_a, 0) >= epoch_a:
+                continue
+            race_count += 1
+            racing.add(i)
+            racing.add(j)
+            if len(shown) < max_pairs:
+                shown.append((i, j))
+
+    names = trace.workers or {}
+    segments: Dict[int, SegmentAccess] = {}
+    for index in sorted(racing):
+        step, worker, kind, lockset, _clock, _epoch = accesses[index]
+        segments[index] = SegmentAccess(
+            step=step,
             worker=worker,
             worker_name=names.get(worker, f"worker-{worker}"),
             kind=kind,
             lockset=lockset,
         )
-        result.append(
-            (access, clock, epoch, walker.used_locks.get(worker, False))
-        )
-    return result, walker.contention
+    pairs = [RacePair(first=segments[i], second=segments[j]) for i, j in shown]
 
-
-def analyze_trace(trace: ScheduleTrace, *, max_pairs: int = 32) -> RaceReport:
-    """Lockset + happens-before analysis of one recorded schedule."""
-    walker_segments, contention_stats = _segments(trace)
-    accesses: List[Tuple[SegmentAccess, Dict[int, int], int]] = []
-    for access, clock, epoch, worker_used_locks in walker_segments:
-        if access.kind in ("trace", "block"):
-            continue
-        if worker_used_locks:
-            if access.lockset:
-                accesses.append((access, clock, epoch))
-        elif access.kind in ACCESS_KINDS:
-            accesses.append((access, clock, epoch))
-
-    pairs: List[RacePair] = []
-    race_count = 0
-    racing_steps: Dict[int, SegmentAccess] = {}
-    for i, (a, _clock_a, epoch_a) in enumerate(accesses):
-        for b, clock_b, _epoch_b in (entry for entry in accesses[i + 1 :]):
-            if a.worker == b.worker:
-                continue
-            if a.lockset & b.lockset:
-                continue
-            # a executed before b; they are ordered iff b's clock has
-            # caught up with a's epoch via a synchronization edge.
-            if clock_b.get(a.worker, 0) >= epoch_a:
-                continue
-            race_count += 1
-            racing_steps.setdefault(a.step, a)
-            racing_steps.setdefault(b.step, b)
-            if len(pairs) < max_pairs:
-                pairs.append(RacePair(first=a, second=b))
-
-    contention = sorted(contention_stats.values(), key=lambda c: c.lock)
+    contention = sorted(walker.contention.values(), key=lambda c: c.lock)
     return RaceReport(
         pairs=pairs,
-        unguarded=[racing_steps[step] for step in sorted(racing_steps)],
+        unguarded=list(segments.values()),
         contention=contention,
         race_count=race_count,
         truncated=race_count > len(pairs),

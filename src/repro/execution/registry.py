@@ -12,13 +12,23 @@ method).  In this Python reproduction an identifier resolves, in order:
 
 Every entry point has the signature ``main(args: list[str]) -> None``,
 the Python analogue of ``public static void main(String[])``.
+
+A ``.py`` file (a student submission) is compiled once per content and
+executed into a fresh module on every resolution: schedule exploration
+runs one file dozens of times, and module-level state must never leak
+from one run into the next.
 """
 
 from __future__ import annotations
 
 import importlib
+import importlib.util
+import io
+import os
 import threading
-from typing import Callable, Dict, List, Optional
+from collections import OrderedDict
+from types import CodeType
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "MainFunction",
@@ -33,6 +43,13 @@ MainFunction = Callable[[List[str]], None]
 
 _lock = threading.Lock()
 _registry: Dict[str, MainFunction] = {}
+
+#: Compiled submission files kept for reuse, least recently used first.
+#: Resolution runs outside the in-process session lock, so the cache has
+#: its own lock.
+CODE_CACHE_SIZE = 8
+_code_lock = threading.Lock()
+_code_cache: "OrderedDict[str, Tuple[bytes, CodeType]]" = OrderedDict()
 
 
 class UnknownMainError(LookupError):
@@ -80,20 +97,45 @@ def registered_mains() -> List[str]:
         return sorted(_registry)
 
 
-def _load_from_file(path: str, attr: str, identifier: str) -> MainFunction:
-    """Load a tested program from a source file — a student submission."""
-    import importlib.util
-    import os
+def _compiled(origin: str) -> CodeType:
+    """The code object of the file at absolute path *origin*.
 
+    Reads the file on every call and reuses the cached code only while
+    the bytes are unchanged, so an edit — even one that keeps the size
+    and modification time — takes effect on the next run.  A file that
+    does not compile raises and is never cached.
+    """
+    with io.open_code(origin) as handle:
+        source = handle.read()
+    with _code_lock:
+        entry = _code_cache.get(origin)
+        if entry is not None and entry[0] == source:
+            _code_cache.move_to_end(origin)
+            return entry[1]
+    code = compile(source, origin, "exec", dont_inherit=True)
+    with _code_lock:
+        _code_cache[origin] = (source, code)
+        _code_cache.move_to_end(origin)
+        while len(_code_cache) > CODE_CACHE_SIZE:
+            _code_cache.popitem(last=False)
+    return code
+
+
+def _load_from_file(path: str, attr: str, identifier: str) -> MainFunction:
+    """Load a tested program from a source file — a student submission.
+
+    The module body runs into a fresh module on every call; only the
+    compiled code is shared (see :func:`_compiled`).
+    """
     if not os.path.exists(path):
         raise UnknownMainError(identifier, f"file {path!r} does not exist")
     module_name = f"_submission_{abs(hash(os.path.abspath(path)))}"
     spec = importlib.util.spec_from_file_location(module_name, path)
-    if spec is None or spec.loader is None:
+    if spec is None or spec.origin is None:
         raise UnknownMainError(identifier, f"cannot load {path!r}")
     module = importlib.util.module_from_spec(spec)
     try:
-        spec.loader.exec_module(module)
+        exec(_compiled(spec.origin), module.__dict__)
     except Exception as exc:  # noqa: BLE001 - import error is a grading fact
         raise UnknownMainError(identifier, f"importing {path!r} failed: {exc}") from exc
     func = getattr(module, attr, None)

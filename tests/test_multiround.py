@@ -15,6 +15,7 @@ from repro.core.properties import ARRAY, NUMBER, PropertySpec
 from repro.core.trace_model import PhaseSpecs
 from repro.execution.registry import register_main, unregister_main
 from repro.execution.runner import ProgramRunner
+from repro.execution.subprocess_runner import SubprocessRunner
 from repro.execution.taxonomy import RETRYABLE_KINDS, FailureKind
 from repro.graders.jacobi import JacobiFunctionality
 from repro.testfw.result import AspectStatus
@@ -195,6 +196,13 @@ class _OneRound(AbstractMultiRoundForkJoinChecker):
         return 1
 
 
+class _OneRoundSubprocess(_OneRound):
+    """:class:`_OneRound` run in a child interpreter."""
+
+    def make_runner(self):
+        return SubprocessRunner(timeout=self.process_timeout())
+
+
 class TestFailureClassification:
     """A multi-round run fails the way a single-round run does: the
     student's timeout or crash is labelled as such, so it is retryable
@@ -249,6 +257,18 @@ class TestFailureClassification:
         )
         assert seen == ["3", "4"]
         assert not result.fatal
+
+    def test_torn_subprocess_trace_is_a_garbled_trace(self):
+        result = _OneRoundSubprocess("faults.garble").run()
+        assert not result.fatal
+        assert result.failure_kind == "garbled-trace"
+        assert FailureKind(result.failure_kind) in RETRYABLE_KINDS
+
+    @pytest.mark.parametrize("checker", [_OneRound, _OneRoundSubprocess])
+    def test_clean_run_is_ok(self, checker):
+        result = checker("faults.ok").run()
+        assert not result.fatal
+        assert result.failure_kind == "ok"
 
 
 class TestReferenceStencil:

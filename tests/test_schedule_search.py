@@ -7,7 +7,10 @@ Pins the behaviour the verdicts stand on:
   graded (and without it every candidate runs);
 * the exhaustive census for the small synclab workloads is *exact* —
   ``8 of 26`` for the lost update, ``0 of 40`` for the guarded variant —
-  and identical across runs;
+  and identical across runs, and so is the supervisor's dedup
+  efficiency on its three default campaigns;
+* a simulation the oracle cannot follow (nested locks) is a
+  misprediction that fails open, not a crash;
 * ``failure_rate`` divides by executed schedules, not enumerated ones;
 * the supervisor, gradebook, HTML report, CSV export, and CLI all carry
   the ``N of M interleavings fail`` verdict through unchanged.
@@ -18,9 +21,11 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser
+from repro.cli import main as cli_main
 from repro.execution.equivalence import happens_before_key
 from repro.execution.exploration import (
     STRATEGY_CHOICES,
+    ExhaustiveSearch,
     ExplorationReport,
     ScheduleExplorer,
 )
@@ -289,6 +294,137 @@ class TestSupervisorExhaustive:
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):
             GradingSupervisor(build_synclab_suite, explore_strategy="chaos")
+
+
+class TestSupervisorDedupEfficiency:
+    """The supervisor's default exhaustive campaigns (``--explore 40
+    --explore-strategy exhaustive --explore-depth 2 --race-detect``),
+    pinned as (enumerated, executed, deduped, mispredicted, complete):
+    a change that keeps the censuses but loses dedup fails here."""
+
+    def test_default_campaigns_are_pinned(self, monkeypatch):
+        searches = []
+        run = ExhaustiveSearch.run
+
+        def recording_run(self):
+            out = run(self)
+            searches.append(out)
+            return out
+
+        monkeypatch.setattr(ExhaustiveSearch, "run", recording_run)
+        supervisor = GradingSupervisor(
+            build_synclab_suite,
+            jobs=1,
+            explore_schedules=40,
+            explore_strategy="exhaustive",
+            explore_depth=2,
+            race_detect=True,
+        )
+        campaigns = {}
+        for program in ("lost_update", "guarded", "straggler"):
+            supervisor.grade({program: f"synclab.{program}"})
+            out = searches[-1]
+            campaigns[program] = (
+                out.enumerated,
+                out.executed,
+                out.deduped,
+                out.mispredicted,
+                out.complete,
+            )
+        assert campaigns == {
+            "lost_update": (26, 14, 12, 0, True),
+            "guarded": (40, 24, 16, 0, True),
+            "straggler": (44, 40, 4, 0, False),
+        }
+
+
+#: Reads the counter unguarded, then writes it under two nested locks:
+#: a lost update the oracle's one-lock simulation cannot follow.
+NESTED_LOCKS = """\
+from repro.simulation.backend import current_backend
+from repro.tracing import print_property
+from repro.workloads.common import fork_and_join
+from repro.workloads.synclab.spec import COUNTER
+
+
+def main(args):
+    backend = current_backend()
+    cell = {"value": 0}
+    outer, inner = backend.lock(), backend.lock()
+
+    def worker(index):
+        def body():
+            print(f"synclab worker {index} up")
+            snapshot = cell["value"]
+            backend.checkpoint()
+            with outer:
+                with inner:
+                    cell["value"] = snapshot + 1
+                    backend.checkpoint()
+
+        return body
+
+    fork_and_join([worker(i) for i in range(2)], backend=backend)
+    print_property(COUNTER, cell["value"])
+"""
+
+
+class TestDivergingSimulation:
+    """The conflated-lock simulation diverges on nested locks; the
+    search must count a misprediction and execute, not crash."""
+
+    @pytest.fixture
+    def nested(self, tmp_path):
+        path = tmp_path / "nested_locks.py"
+        path.write_text(NESTED_LOCKS)
+        return str(path)
+
+    def explore(self, path, dedup):
+        return ScheduleExplorer(
+            lambda: SyncLabCounterFunctionality(path, workers=2, rounds=1),
+            strategy="exhaustive",
+            depth=2,
+            max_schedules=256,
+            dedup=dedup,
+        ).run()
+
+    def test_dedup_fails_open_with_the_same_census(self, nested):
+        on = self.explore(nested, dedup=True)
+        off = self.explore(nested, dedup=False)
+        # The first prediction diverges; the oracle is not consulted
+        # again, so every interleaving executes.
+        assert on.mispredicted == 1
+        assert (on.executed, on.deduped) == (off.executed, 0)
+        assert on.complete is off.complete is True
+        assert (on.enumerated, on.failing_interleavings) == (
+            off.enumerated,
+            off.failing_interleavings,
+        )
+        assert on.failing_interleavings > 0
+
+    def test_supervisor_grade_is_not_an_infra_error(self, nested):
+        report = GradingSupervisor(
+            build_synclab_suite,
+            jobs=1,
+            explore_schedules=256,
+            explore_strategy="exhaustive",
+            explore_depth=2,
+            race_detect=True,
+        ).grade({"nested": nested})
+        record = report.gradebook.latest("nested")
+        assert record.failure_kind != "infra-error"
+        assert record.racy
+        assert record.interleavings_complete is True
+        assert 0 < record.interleavings_failing < record.interleavings_total
+
+    def test_cli_reports_the_census(self, nested, capsys):
+        status = cli_main(
+            ["explore", nested, "--problem", "synclab",
+             "--strategy", "exhaustive", "--depth", "2"]
+        )
+        out = capsys.readouterr().out
+        assert status == 1  # a failing interleaving was found
+        assert "distinct interleavings fail" in out
 
 
 class TestSeededTagStillWorks:
