@@ -24,7 +24,7 @@ from __future__ import annotations
 from statistics import median
 
 from benchmarks.conftest import emit, merge_json_artifact
-from repro.execution.exploration import ScheduleExplorer
+from repro.execution.exploration import ScheduleExplorer, checker_runs
 from repro.execution.scheduling import PCTStrategy, RandomWalkStrategy
 from repro.graders.synclab import (
     SyncLabCounterFunctionality,
@@ -50,10 +50,10 @@ def lost_update_factory():
 
 def schedules_to_first_bug(factory, make_strategy, base_seed):
     """Controlled runs until the checker fails, or ``CAP + 1``."""
-    explorer = ScheduleExplorer(factory, schedules=1)
+    run_schedule = checker_runs(factory)
     for offset in range(CAP):
-        result, _trace = explorer.run_one(make_strategy(base_seed + offset))
-        if result.failed_aspects() or result.fatal:
+        failed, _trace, _result = run_schedule(make_strategy(base_seed + offset))
+        if failed:
             return offset + 1
     return CAP + 1
 
@@ -102,7 +102,7 @@ def test_pct_finds_depth1_bug_in_fewer_schedules():
 def test_dedup_halves_executions_without_changing_the_census():
     def census(dedup):
         return ScheduleExplorer(
-            lost_update_factory(),
+            checker_runs(lost_update_factory()),
             strategy="exhaustive",
             depth=2,
             max_schedules=256,
@@ -147,7 +147,7 @@ def test_dedup_halves_executions_without_changing_the_census():
 def test_exhaustive_census_is_stable_across_runs():
     def census():
         report = ScheduleExplorer(
-            lost_update_factory(),
+            checker_runs(lost_update_factory()),
             strategy="exhaustive",
             depth=2,
             max_schedules=256,

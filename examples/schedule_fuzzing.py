@@ -7,8 +7,9 @@ synchronization bugs"; this example demonstrates our implementation:
 
 1. the racy primes submission *passes* under a serialized schedule (the
    race cannot manifest without overlap);
-2. the schedule fuzzer reruns the same checker under many seeded random
-   interleavings and reports every failing schedule;
+2. schedule fuzzing — seeded random-walk exploration on the controlled
+   scheduler — reruns the same checker under many interleavings and
+   reports every failing schedule;
 3. a failing seed replays deterministically, so the student can study
    the exact interleaving that loses their update.
 
@@ -19,10 +20,11 @@ Run it::
 
 from __future__ import annotations
 
+from repro.execution.exploration import ScheduleExplorer, checker_runs
+from repro.execution.scheduling import RandomWalkStrategy
 from repro.graders import PrimesFunctionality
-from repro.simulation import ScheduleFuzzer
 from repro.simulation.backend import SimulationBackend, use_backend
-from repro.simulation.scheduler import RandomPolicy, SerializedPolicy
+from repro.simulation.scheduler import SerializedPolicy
 
 RULE = "=" * 70
 
@@ -43,18 +45,20 @@ def single_benign_run() -> None:
 def fuzz_campaign() -> int:
     print()
     print(RULE)
-    print("2. Schedule fuzzing: 25 seeded random interleavings")
+    print("2. Schedule fuzzing: 25 seeded random-walk interleavings")
     print(RULE)
-    fuzzer = ScheduleFuzzer(
-        lambda: PrimesFunctionality("primes.racy"), schedules=25
-    )
-    report = fuzzer.run()
+    report = ScheduleExplorer(
+        checker_runs(lambda: PrimesFunctionality("primes.racy")),
+        schedules=25,
+        strategy="random-walk",
+    ).run()
     print(report.summary())
     print()
     for finding in report.findings[:5]:
+        result = finding.payload
         print(
-            f"  seed {finding.seed:>3}: {finding.score:g}/"
-            f"{finding.max_score:g} - {finding.messages[0]}"
+            f"  seed {finding.seed:>3}: {result.score:g}/"
+            f"{result.max_score:g} - {finding.messages[0]}"
         )
     if len(report.findings) > 5:
         print(f"  ... and {len(report.findings) - 5} more failing schedules")
@@ -67,12 +71,11 @@ def deterministic_replay(seed: int) -> None:
     print(RULE)
     print(f"3. Replaying failing seed {seed} (deterministic)")
     print(RULE)
+    run_schedule = checker_runs(lambda: PrimesFunctionality("primes.racy"))
     for attempt in (1, 2):
-        with use_backend(SimulationBackend(policy=RandomPolicy(seed))):
-            result = PrimesFunctionality("primes.racy").run()
-        messages = [o.message for o in result.failed_aspects() if o.message]
+        failed, _trace, result = run_schedule(RandomWalkStrategy(seed))
         print(f"attempt {attempt}: score {result.score:g}/{result.max_score:g}"
-              f" - {messages[0] if messages else 'no failure'}")
+              f" - {failed[0] if failed else 'no failure'}")
 
 
 def main() -> None:

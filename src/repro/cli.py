@@ -20,7 +20,6 @@ is that entry point::
         --jobs 4 --pool-size 4
     forkjoin-test export primes --submission primes.serialized \
         --out results.json          # Gradescope results.json
-    forkjoin-test fuzz primes.racy --schedules 25
     forkjoin-test explore primes.racy --schedules 20 --seed 0 \
         --record failing.schedule.json
     forkjoin-test explore primes.racy --strategy pct --depth 3
@@ -41,11 +40,11 @@ suite once and prints the scored report; ``grade`` sweeps submissions
 into a gradebook (``--explore`` switches racy-failure retries to
 deterministic schedule exploration, ``--obs-out`` dumps the run's
 observability spans and metrics); ``export`` writes a Gradescope
-document; ``fuzz`` hunts schedule-dependent bugs through the simulation
-backend; ``explore`` hunts them with the controlled scheduler —
-deterministic, recordable, and exactly replayable, with ``--strategy``
-selecting random walks, the preemption sweep, PCT, or exhaustive
-small-state enumeration (see docs/exploring_schedules.md); ``timeline`` and
+document; ``explore`` hunts schedule-dependent bugs with the controlled
+scheduler — deterministic, recordable, and exactly replayable, with
+``--strategy`` selecting random walks, the preemption sweep, PCT, or
+exhaustive small-state enumeration (see docs/exploring_schedules.md);
+``timeline`` and
 ``stats`` render an observability dump as per-submission span trees and
 aggregate histograms (``--json`` for machine-readable output, ``stats
 --prom`` for Prometheus text exposition); ``watch`` tails a batch's
@@ -63,8 +62,8 @@ __all__ = ["main", "build_parser"]
 
 SUITES = ("primes", "pi", "odds", "hello", "jacobi", "synclab")
 
-#: Problems whose functionality checker the fuzz/explore commands can
-#: rebuild standalone (the checker-factory catalogue below).
+#: Problems whose functionality checker the explore command can rebuild
+#: standalone (the checker-factory catalogue below).
 EXPLORABLE_PROBLEMS = ("primes", "pi", "odds", "jacobi", "synclab")
 
 
@@ -170,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "after a retryable failure, re-grade under N controlled "
             "schedules instead of blind reruns; the first failing "
-            "schedule's seed is recorded in the gradebook for replay"
+            "schedule's seed is recorded in the gradebook for replay "
+            "(in-process only: refused with --subprocess or --pool-size)"
         ),
     )
     grade.add_argument(
@@ -331,16 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out", required=True, help="report.html path")
     report.add_argument(
         "--student", default="", help="student name shown in the report title"
-    )
-
-    fuzz = commands.add_parser("fuzz", help="schedule-fuzz a submission")
-    fuzz.add_argument("submission", help="tested-program identifier")
-    fuzz.add_argument("--schedules", type=int, default=25)
-    fuzz.add_argument(
-        "--problem",
-        default="primes",
-        choices=["primes", "pi", "odds"],
-        help="which problem's functionality checker to run under fuzzing",
     )
 
     explore = commands.add_parser(
@@ -764,6 +754,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.grading.journal import GradingJournal
 
         identifiers = [s.strip() for s in args.submissions.split(",") if s.strip()]
+        if args.explore > 0 and (args.subprocess or args.pool_size > 0):
+            print(
+                "grade: --explore runs each program under the in-process "
+                "controlled scheduler; with --subprocess or --pool-size the "
+                "program runs in a child process outside it, so no schedule "
+                "would be explored",
+                file=sys.stderr,
+            )
+            return 2
         if args.shards > 0:
             return _grade_sharded(args, identifiers)
         journal = GradingJournal(args.resume) if args.resume else None
@@ -895,24 +894,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         return 0
 
-    if args.command == "fuzz":
-        from repro.simulation import ScheduleFuzzer
-
-        fuzzer = ScheduleFuzzer(
-            _checker_factory(args.problem, args.submission),
-            schedules=args.schedules,
-        )
-        report = fuzzer.run()
-        print(report.summary())
-        return 1 if report.bug_found else 0
-
     if args.command == "explore":
-        from repro.execution.exploration import ScheduleExplorer
+        from repro.execution.exploration import ScheduleExplorer, checker_runs
         from repro.execution.scheduling import ScheduleTrace
 
-        factory = _checker_factory(args.problem, args.submission)
         explorer = ScheduleExplorer(
-            factory,
+            checker_runs(_checker_factory(args.problem, args.submission)),
             schedules=args.schedules,
             first_seed=args.seed,
             strategy=args.strategy,
@@ -923,20 +910,19 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         if args.replay:
             trace = ScheduleTrace.load(args.replay)
-            result, replayed = explorer.replay(trace)
+            failed, replayed, _result = explorer.replay(trace)
             if replayed.divergence:
                 print(f"replay DIVERGED: {replayed.divergence}")
                 return 2
-            reproduced = result.score < result.max_score or bool(result.fatal)
             print(
                 f"replayed {trace.label()} ({len(trace.decisions)} decisions): "
                 + (
                     "failure reproduced"
-                    if reproduced
+                    if failed
                     else "program passed under the recorded schedule"
                 )
             )
-            return 1 if reproduced else 0
+            return 1 if failed else 0
         report = explorer.run()
         print(report.summary())
         if report.bug_found and args.record:

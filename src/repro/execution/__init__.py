@@ -68,6 +68,8 @@ _LAZY_EXPLORATION = {
     "ExhaustiveSearch",
     "ExhaustiveResult",
     "STRATEGY_CHOICES",
+    "checker_runs",
+    "failure_reasons",
 }
 
 
@@ -135,6 +137,8 @@ __all__ = [
     "ExhaustiveSearch",
     "ExhaustiveResult",
     "STRATEGY_CHOICES",
+    "checker_runs",
+    "failure_reasons",
     "ScheduleOracle",
     "SimulatedRun",
     "canonical_form",

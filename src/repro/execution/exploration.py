@@ -1,12 +1,18 @@
 """N-schedule exploration: deterministic interleaving search for races.
 
-The :mod:`repro.simulation` fuzzer varies interleavings through the
-virtual-time backend; this module is its controlled-scheduler successor.
-A :class:`ScheduleExplorer` reruns the *same* functionality checker under
-deterministic schedules produced by :mod:`repro.execution.scheduling`
-strategies and reports every schedule whose trace failed a check,
-keeping the full recorded :class:`ScheduleTrace` so the exact
-interleaving can be saved to a file and replayed.
+This module is the one schedule-search loop.  A :class:`ScheduleExplorer`
+reruns a program under deterministic schedules produced by
+:mod:`repro.execution.scheduling` strategies and reports every schedule
+whose run failed, keeping the full recorded :class:`ScheduleTrace` so
+the exact interleaving can be saved to a file and replayed.
+
+The explorer never runs a program itself: a *run callback*
+``run_schedule(strategy) -> (failed, trace, payload)`` does.  The
+``explore`` command adapts a functionality checker with
+:func:`checker_runs`; ``grade --explore`` passes the grading
+supervisor's armed suite attempt.  Both judge a run with
+:func:`failure_reasons`, so strategy generation, happens-before dedup,
+race analysis and the ``explore.*`` counters live here once.
 
 Four strategy families:
 
@@ -38,9 +44,10 @@ grading CI-friendly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.checker import AbstractForkJoinChecker
+from repro.core.outcome import Aspect
 from repro.execution.equivalence import (
     ScheduleOracle,
     SimulatedRun,
@@ -69,26 +76,89 @@ __all__ = [
     "ExplorationReport",
     "ExhaustiveSearch",
     "ExhaustiveResult",
+    "RunSchedule",
     "ScheduleExplorer",
     "STRATEGY_CHOICES",
+    "checker_runs",
+    "failure_reasons",
 ]
 
 #: CLI-facing strategy family names.
 STRATEGY_CHOICES = ("random-walk", "preemption-sweep", "pct", "exhaustive")
 
+#: ``run_schedule(strategy) -> (failed, trace, payload)``: run the
+#: program once under *strategy*.  ``failed`` lists why the run failed
+#: (:func:`failure_reasons`; empty when it passed), ``trace`` is the
+#: recorded schedule, and ``payload`` rides along on the run's finding.
+RunSchedule = Callable[
+    [ScheduleStrategy], Tuple[Sequence[str], ScheduleTrace, Any]
+]
+
+#: Test scores are rounded to 6 decimal places; a smaller gap between
+#: the points lost and the interleaving points lost is rounding.
+_SCORE_TOLERANCE = 1e-6
+
+
+def failure_reasons(results: Sequence[TestResult]) -> List[str]:
+    """Why a controlled run failed; empty when it passed.
+
+    This is the one judgment on an explored schedule.  A run fails when
+    a test's failure kind is not ``ok``, a test hit a fatal error, or a
+    test lost points on an aspect other than thread interleaving.
+
+    The interleaving aspect never decides a controlled verdict.  Under a
+    controlled schedule the scheduler, not the program, decides whether
+    the workers' prints interleave, and the happens-before key treats
+    prints as commuting
+    (:data:`~repro.execution.equivalence.COMMUTING_KINDS`).  Two
+    equivalent schedules can therefore differ on that aspect alone.
+    Judging it would break dedup's premise that equivalent schedules
+    grade alike, and would mark correct programs racy.
+    """
+    reasons: List[str] = []
+    for result in results:
+        if result.fatal or result.failure_kind not in ("", "ok"):
+            reasons.append(
+                result.fatal or f"{result.test_name}: {result.failure_kind}"
+            )
+            continue
+        interleaving_lost = sum(
+            o.points_possible - o.points_earned
+            for o in result.outcomes
+            if o.aspect == Aspect.INTERLEAVING
+        )
+        if result.max_score - result.score - interleaving_lost <= _SCORE_TOLERANCE:
+            continue
+        messages = [
+            o.message or f"{o.aspect} failed"
+            for o in result.failed_aspects()
+            if o.aspect != Aspect.INTERLEAVING
+        ]
+        reasons.extend(
+            messages
+            or [f"{result.test_name} scored {result.score:g}/{result.max_score:g}"]
+        )
+    return reasons
+
 
 @dataclass
 class ExplorationFinding:
-    """One controlled schedule under which the checker found an error."""
+    """One controlled schedule whose run failed."""
 
     strategy_label: str
     seed: Optional[int]
-    score: float
-    max_score: float
-    failed_aspects: List[str]
+    #: Why the run failed (:func:`failure_reasons`).
     messages: List[str]
     trace: ScheduleTrace
-    deadlocked: bool = False
+    #: What the run callback returned with the verdict: the checker's
+    #: :class:`~repro.testfw.result.TestResult` for :func:`checker_runs`,
+    #: the supervisor's suite attempt for ``grade --explore``.
+    payload: Any = None
+
+    @property
+    def deadlocked(self) -> bool:
+        """True when the failing schedule ended in a deadlock."""
+        return self.trace.deadlocked
 
 
 @dataclass
@@ -442,9 +512,57 @@ class ExhaustiveSearch:
         return out
 
 
-class ScheduleExplorer:
-    """Rerun a functionality checker under N controlled schedules.
+def checker_runs(
+    checker_factory: Callable[[], AbstractForkJoinChecker],
+) -> RunSchedule:
+    """The ``explore`` command's run callback over a functionality checker.
 
+    Each call builds a fresh checker (checkers keep state) and runs it
+    once under a :class:`ScheduledBackend` for the given strategy.  The
+    backend is installed ambiently around the whole checker run while
+    the in-process session lock is held, so the runner inside the
+    checker picks it up and no other in-process run can interleave.
+    The payload is the checker's :class:`TestResult`.
+    """
+
+    def run_schedule(
+        strategy: ScheduleStrategy,
+    ) -> Tuple[List[str], ScheduleTrace, TestResult]:
+        backend = ScheduledBackend(strategy)
+        checker = checker_factory()
+        with _obs_registry().span(
+            "explore.schedule",
+            strategy=strategy.label(),
+            seed=getattr(strategy, "seed", None),
+        ) as span:
+            with in_process_session_lock():
+                with use_backend(backend):
+                    result = checker.run_safely()
+            trace = backend.schedule_trace(*_program_identity(checker))
+            failed = failure_reasons([result])
+            span.set(ok=not failed, deadlocked=trace.deadlocked or None)
+        return failed, trace, result
+
+    return run_schedule
+
+
+def _program_identity(checker: AbstractForkJoinChecker) -> Tuple[str, List[str]]:
+    try:
+        identifier = checker.main_class_identifier()
+    except NotImplementedError:  # pragma: no cover - abstract factory
+        identifier = type(checker).__name__
+    try:
+        args = [str(a) for a in checker.args()]
+    except NotImplementedError:  # pragma: no cover - abstract factory
+        args = []
+    return identifier, args
+
+
+class ScheduleExplorer:
+    """Run a program under N controlled schedules through a run callback.
+
+    ``run_schedule`` (:data:`RunSchedule`) runs the program once per
+    schedule; :func:`checker_runs` builds one from a checker factory.
     ``strategy`` selects the schedule family (:data:`STRATEGY_CHOICES`);
     ``depth`` is the PCT depth or the exhaustive preemption bound;
     ``max_schedules`` caps exhaustive-mode *executions* (defaulting to
@@ -453,11 +571,15 @@ class ScheduleExplorer:
     (:mod:`repro.execution.races`) over every executed schedule and
     merges the evidence into the report — which is what lets the report
     flag ``racy-lucky`` even when every explored schedule passes.
+
+    :meth:`run` explores the whole campaign; :meth:`run_to_first_failure`
+    stops a linear family at its first failing schedule.  Both walk the
+    same loop.
     """
 
     def __init__(
         self,
-        checker_factory: Callable[[], AbstractForkJoinChecker],
+        run_schedule: RunSchedule,
         *,
         schedules: int = 20,
         first_seed: int = 0,
@@ -468,11 +590,7 @@ class ScheduleExplorer:
         dedup: bool = True,
         races: bool = False,
     ) -> None:
-        """Configure the campaign; see the class docstring for the knobs.
-
-        ``checker_factory`` must build a *fresh* checker per call — the
-        explorer runs it once per schedule and checkers keep state.
-        """
+        """Configure the campaign; see the class docstring for the knobs."""
         if schedules < 1:
             raise ValueError("schedules must be >= 1")
         if strategy not in STRATEGY_CHOICES:
@@ -481,7 +599,7 @@ class ScheduleExplorer:
             )
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        self._factory = checker_factory
+        self.run_schedule = run_schedule
         self.schedules = schedules
         self.first_seed = first_seed
         self.strategy = strategy
@@ -492,16 +610,34 @@ class ScheduleExplorer:
         self.races = races
 
     # ------------------------------------------------------------------
-    def _analyze_races(self, trace: ScheduleTrace) -> Optional[RaceReport]:
-        """Per-schedule race analysis (when enabled), with obs counters."""
-        if not self.races:
-            return None
-        obs = _obs_registry()
-        report = analyze_trace(trace)
-        obs.counter("races.analyzed").inc()
-        if report.has_races:
-            obs.counter("races.detected").inc()
-            obs.counter("races.pairs").inc(report.race_count)
+    def run(self) -> ExplorationReport:
+        """Run the whole campaign and aggregate the failing schedules."""
+        return self._campaign(stop_at_first_failure=False)
+
+    def run_to_first_failure(self) -> ExplorationReport:
+        """Explore until the first failing schedule, the grade of record.
+
+        A linear family (random-walk, preemption-sweep, pct) stops at its
+        first failing schedule.  An exhaustive census runs whole: its
+        verdict is the count of failing interleavings.
+        """
+        return self._campaign(stop_at_first_failure=True)
+
+    def replay(
+        self, trace: ScheduleTrace
+    ) -> Tuple[Sequence[str], ScheduleTrace, Any]:
+        """Re-run the program replaying *trace* decision for decision."""
+        return self.run_schedule(ReplayStrategy(trace))
+
+    # ------------------------------------------------------------------
+    def _campaign(self, *, stop_at_first_failure: bool) -> ExplorationReport:
+        race_reports: List[RaceReport] = []
+        if self.strategy == "exhaustive":
+            report = self._exhaustive(race_reports)
+        else:
+            report = self._linear(race_reports, stop_at_first_failure)
+        if self.races:
+            report.race_report = merge_reports(race_reports)
         return report
 
     def _strategies(self) -> Iterator[ScheduleStrategy]:
@@ -516,43 +652,36 @@ class ScheduleExplorer:
                 self.schedules, max_quantum=self.max_quantum
             )
 
-    def run_one(
-        self, strategy: ScheduleStrategy
-    ) -> Tuple[TestResult, ScheduleTrace]:
-        """One controlled checker run; returns (verdict, recorded trace).
-
-        The backend is installed ambiently around the whole checker run
-        while the in-process session lock is held, so the runner inside
-        the checker picks it up and no other in-process run can
-        interleave.
-        """
+    def _execute(
+        self, strategy: ScheduleStrategy, race_reports: List[RaceReport]
+    ) -> Tuple[bool, ScheduleTrace, Optional[ExplorationFinding]]:
+        """Run one schedule; analyze its races, count it, judge it."""
         obs = _obs_registry()
-        backend = ScheduledBackend(strategy)
-        checker = self._factory()
-        with obs.span(
-            "explore.schedule",
-            strategy=strategy.label(),
-            seed=getattr(strategy, "seed", None),
-        ) as span:
-            with in_process_session_lock():
-                with use_backend(backend):
-                    result = checker.run_safely()
-            trace = backend.schedule_trace(*self._program_identity(checker))
-            span.set(
-                ok=not (result.failed_aspects() or result.fatal),
-                deadlocked=trace.deadlocked or None,
-            )
+        failed, trace, payload = self.run_schedule(strategy)
         obs.counter("explore.schedules").inc()
-        return result, trace
+        if self.races:
+            race_report = analyze_trace(trace)
+            obs.counter("races.analyzed").inc()
+            if race_report.has_races:
+                obs.counter("races.detected").inc()
+                obs.counter("races.pairs").inc(race_report.race_count)
+            race_reports.append(race_report)
+        if not failed:
+            return False, trace, None
+        obs.counter("explore.failures").inc()
+        finding = ExplorationFinding(
+            strategy_label=strategy.label(),
+            seed=getattr(strategy, "seed", None),
+            messages=list(failed),
+            trace=trace,
+            payload=payload,
+        )
+        return True, trace, finding
 
-    def replay(self, trace: ScheduleTrace) -> Tuple[TestResult, ScheduleTrace]:
-        """Re-run the checker replaying *trace* decision for decision."""
-        return self.run_one(ReplayStrategy(trace))
-
-    def run(self) -> ExplorationReport:
-        """Run the whole campaign and aggregate the failing schedules."""
-        if self.strategy == "exhaustive":
-            return self._run_exhaustive()
+    def _linear(
+        self, race_reports: List[RaceReport], stop_at_first_failure: bool
+    ) -> ExplorationReport:
+        """The linear families' loop, with happens-before dedup."""
         report = ExplorationReport(
             schedules_tried=0,
             strategy=self.strategy,
@@ -562,8 +691,7 @@ class ScheduleExplorer:
         obs = _obs_registry()
         oracle: Optional[ScheduleOracle] = None
         oracle_usable = self.dedup
-        seen: Dict[str, bool] = {}
-        race_reports: List[RaceReport] = []
+        seen: Set[str] = set()
         for strategy in self._strategies():
             report.schedules_tried += 1
             predicted_key: Optional[str] = None
@@ -573,7 +701,7 @@ class ScheduleExplorer:
                     report.deduped += 1
                     obs.counter("explore.deduped").inc()
                     continue
-            result, trace = self.run_one(strategy)
+            _failed, trace, finding = self._execute(strategy, race_reports)
             report.executed += 1
             key = happens_before_key(trace)
             if predicted_key is not None and predicted_key != key:
@@ -584,40 +712,20 @@ class ScheduleExplorer:
                 oracle = ScheduleOracle.from_trace(trace)
                 if oracle is None:
                     oracle_usable = False
-            race_report = self._analyze_races(trace)
-            if race_report is not None:
-                race_reports.append(race_report)
-            finding = self._failed(result, strategy, trace)
-            seen.setdefault(key, finding is not None)
+            seen.add(key)
             if finding is not None:
-                obs.counter("explore.failures").inc()
                 report.findings.append(finding)
+                if stop_at_first_failure:
+                    break
         report.distinct = len(seen)
-        if self.races:
-            report.race_report = merge_reports(race_reports)
         obs.counter("explore.coverage").inc(report.executed + report.deduped)
         return report
 
-    def _run_exhaustive(self) -> ExplorationReport:
-        budget = self.max_schedules or self.schedules
-        race_reports: List[RaceReport] = []
-
-        def run_schedule(
-            strategy: ExhaustiveStrategy,
-        ) -> Tuple[bool, ScheduleTrace, Optional[ExplorationFinding]]:
-            result, trace = self.run_one(strategy)
-            race_report = self._analyze_races(trace)
-            if race_report is not None:
-                race_reports.append(race_report)
-            finding = self._failed(result, strategy, trace)
-            if finding is not None:
-                _obs_registry().counter("explore.failures").inc()
-            return finding is not None, trace, finding
-
+    def _exhaustive(self, race_reports: List[RaceReport]) -> ExplorationReport:
         search = ExhaustiveSearch(
-            run_schedule,
+            lambda strategy: self._execute(strategy, race_reports),
             depth=self.depth,
-            max_schedules=budget,
+            max_schedules=self.max_schedules or self.schedules,
             dedup=self.dedup,
         )
         out = search.run()
@@ -625,7 +733,7 @@ class ScheduleExplorer:
             schedules_tried=out.enumerated,
             strategy="exhaustive",
             first_seed=self.first_seed,
-            findings=[p for p in out.failing_payloads if p is not None],
+            findings=list(out.failing_payloads),
             executed=out.executed,
             deduped=out.deduped,
             distinct=out.enumerated - out.deduped,
@@ -634,42 +742,4 @@ class ScheduleExplorer:
             enumerated=out.enumerated,
             failing_interleavings=out.failing,
             complete=out.complete,
-            race_report=merge_reports(race_reports) if self.races else None,
-        )
-
-    # ------------------------------------------------------------------
-    def _program_identity(
-        self, checker: AbstractForkJoinChecker
-    ) -> Tuple[str, List[str]]:
-        try:
-            identifier = checker.main_class_identifier()
-        except NotImplementedError:  # pragma: no cover - abstract factory
-            identifier = type(checker).__name__
-        try:
-            args = [str(a) for a in checker.args()]
-        except NotImplementedError:  # pragma: no cover - abstract factory
-            args = []
-        return identifier, args
-
-    def _failed(
-        self,
-        result: TestResult,
-        strategy: ScheduleStrategy,
-        trace: ScheduleTrace,
-    ) -> Optional[ExplorationFinding]:
-        failed = result.failed_aspects()
-        if not failed and not result.fatal:
-            return None
-        messages = [o.message for o in failed if o.message]
-        if result.fatal:
-            messages.insert(0, result.fatal)
-        return ExplorationFinding(
-            strategy_label=strategy.label(),
-            seed=getattr(strategy, "seed", None),
-            score=result.score,
-            max_score=result.max_score,
-            failed_aspects=[o.aspect for o in failed],
-            messages=messages,
-            trace=trace,
-            deadlocked=trace.deadlocked,
         )

@@ -35,14 +35,14 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.execution.subprocess_runner import kill_active_child
 from repro.execution.taxonomy import RETRYABLE_KINDS, FailureKind
 from repro.obs import get_registry as _obs_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.execution.races import RaceReport
+    from repro.execution.exploration import ExplorationReport
     from repro.execution.scheduling import ScheduleTrace
     from repro.grading.gradebook import Gradebook
     from repro.grading.journal import GradingJournal
@@ -71,18 +71,31 @@ _KIND_PRECEDENCE = (
 )
 
 
-def _attempt_label(kind: FailureKind, result: "SuiteResult") -> str:
+class _Attempt(NamedTuple):
+    """One graded suite run in a submission's rerun vote."""
+
+    kind: FailureKind
+    result: "SuiteResult"
+    #: A free-running attempt passes with full marks; a controlled one
+    #: passes the explorer's judgment
+    #: (:func:`~repro.execution.exploration.failure_reasons`).
+    passed: bool
+
+
+def _attempt_label(attempt: _Attempt) -> str:
     """One attempt's entry in the rerun-vote history.
 
-    Failure kinds appear verbatim; clean runs distinguish a full pass
-    from partial credit, so ``["crash", "pass"]`` reads as flaky while
-    ``["fail(80%)", "fail(80%)"]`` reads as deterministically wrong.
+    Failure kinds appear verbatim; clean runs distinguish a pass from
+    partial credit, so ``["crash", "pass"]`` reads as flaky while
+    ``["fail(80%)", "fail(80%)"]`` reads as deterministically wrong.  A
+    controlled attempt that lost only the interleaving aspect reads
+    ``pass``: that is the explorer's judgment of it.
     """
-    if kind is not FailureKind.OK:
-        return kind.value
-    if result.score >= result.max_score:
+    if attempt.kind is not FailureKind.OK:
+        return attempt.kind.value
+    if attempt.passed:
         return "pass"
-    return f"fail({result.percent:.0f}%)"
+    return f"fail({attempt.result.percent:.0f}%)"
 
 
 def suite_failure_kind(result: "SuiteResult") -> FailureKind:
@@ -104,27 +117,6 @@ def suite_failure_kind(result: "SuiteResult") -> FailureKind:
         if kind in kinds:
             return kind
     return kinds[0] if kinds else FailureKind.OK
-
-
-@dataclass
-class _ExploreVerdict:
-    """What schedule exploration concluded about one submission.
-
-    Linear strategies (random-walk, pct) pin a failure to a seed;
-    exhaustive mode instead reports coverage: ``failing`` of
-    ``enumerated`` distinct interleavings fail, with ``complete`` saying
-    whether the enumeration covered the whole bound or hit the
-    execution budget.
-    """
-
-    found: bool = False
-    failing_seed: Optional[int] = None
-    failing: Optional[int] = None
-    enumerated: Optional[int] = None
-    complete: Optional[bool] = None
-    #: Merged lockset/happens-before evidence across every explored
-    #: schedule (``None`` when race detection was off).
-    race_report: Optional["RaceReport"] = None
 
 
 @dataclass
@@ -260,10 +252,16 @@ class GradingSupervisor:
         When > 0, a submission whose first attempt fails retryably is
         re-graded under this many *controlled* schedules (seeded random
         walks via :mod:`repro.execution.scheduling`) instead of blind
-        reruns.  The first failing schedule becomes the grade of record
+        reruns, through
+        :class:`~repro.execution.exploration.ScheduleExplorer`.  A
+        controlled run fails only as
+        :func:`~repro.execution.exploration.failure_reasons` judges it:
+        never on the thread-interleaving aspect, which the scheduler
+        decides.  The first failing schedule becomes the grade of record
         with its seed attached (``SubmissionRecord.schedule_seed``) so
         the race replays on demand; if every explored schedule passes
-        the submission is exonerated as ``flaky-pass``.
+        the submission is exonerated as ``flaky-pass``.  Exploration
+        needs in-process runs, so it cannot be combined with ``pool``.
     explore_seed:
         First seed of the exploration range (seeds
         ``explore_seed .. explore_seed + explore_schedules - 1``); fixed
@@ -291,7 +289,9 @@ class GradingSupervisor:
         the pooled runner registers its worker process in the same
         active-children table the cold path uses, and the pool respawns
         killed workers on check-in.  The pool's lifetime belongs to the
-        caller.
+        caller.  Raises ``ValueError`` together with
+        ``explore_schedules`` > 0: a pooled program runs outside the
+        controlled scheduler, so its schedules would explore nothing.
     race_detect:
         Run lockset/happens-before race analysis
         (:mod:`repro.execution.races`) over every controlled schedule
@@ -368,6 +368,11 @@ class GradingSupervisor:
             )
         self.explore_strategy = explore_strategy
         self.explore_depth = max(0, int(explore_depth))
+        if pool is not None and self.explore_schedules > 0:
+            raise ValueError(
+                "explore_schedules needs in-process runs: a pooled program "
+                "runs in a child process, outside the controlled scheduler"
+            )
         self.pool = pool
         self.on_outcome = on_outcome
         self.dedup = bool(dedup)
@@ -670,176 +675,101 @@ class GradingSupervisor:
                 )
         return suite
 
-    def _explore_racy(
-        self,
-        task: _TaskState,
-        attempts: List[Tuple[FailureKind, "SuiteResult"]],
-    ) -> _ExploreVerdict:
-        """Schedule exploration after a retryable first failure.
+    def _explore(
+        self, task: _TaskState, attempts: List[_Attempt]
+    ) -> "ExplorationReport":
+        """Re-grade one submission under controlled schedules.
 
-        Linear strategies (``random-walk``, ``pct``) re-grade under
-        ``explore_schedules`` seeded controlled schedules, appending
-        each controlled attempt (labelled ``@s<seed>`` in the
-        rerun-vote history) and stopping at the first failing seed —
-        whose attempt, now last in *attempts*, is the deterministic
-        grade of record.  ``exhaustive`` instead enumerates every
-        distinct interleaving within the preemption bound and reports
-        coverage.  Either way the returned verdict says whether a
-        failing schedule was pinned or the submission was exonerated.
+        The search is :class:`~repro.execution.exploration.ScheduleExplorer`
+        driven by this supervisor's armed suite attempt.  A seeded family
+        (``random-walk``, ``pct``) appends each executed controlled
+        attempt to *attempts* (labelled ``@s<seed>`` in the rerun-vote
+        history; a seed deduped as happens-before equivalent runs no
+        attempt) and stops at the first failing seed, whose attempt is
+        then last in *attempts*: the deterministic grade of record.
+        ``exhaustive`` enumerates every distinct interleaving within the
+        preemption bound; the history gets one ``exhaustive:NofM`` entry,
+        and only one attempt is appended — the first failing run, or the
+        best-scoring passing run when exonerated — so a 40-interleaving
+        sweep does not balloon the record.
         """
-        from repro.execution.scheduling import (
-            PCTStrategy,
-            RandomWalkStrategy,
-            ScheduledBackend,
-        )
+        from repro.execution.exploration import ScheduleExplorer, failure_reasons
+        from repro.execution.scheduling import ScheduledBackend
 
-        obs = _obs_registry()
-        race_reports: List["RaceReport"] = []
-        with obs.span(
+        exhaustive = self.explore_strategy == "exhaustive"
+        best_passing: Optional[_Attempt] = None
+
+        def run_schedule(strategy):
+            nonlocal best_passing
+            backend = ScheduledBackend(strategy)
+            kind, result = self._run_attempt(task, backend=backend)
+            failed = failure_reasons(result.results)
+            attempt = _Attempt(kind, result, passed=not failed)
+            if not exhaustive:
+                attempts.append(attempt)
+                task.attempt_outcomes.append(
+                    f"{_attempt_label(attempt)}@s{strategy.seed}"
+                )
+            elif not failed and (
+                best_passing is None or result.score > best_passing.result.score
+            ):
+                best_passing = attempt
+            return failed, backend.schedule_trace(task.identifier), attempt
+
+        explorer = ScheduleExplorer(
+            run_schedule,
+            schedules=self.explore_schedules,
+            first_seed=self.explore_seed,
+            strategy=self.explore_strategy,
+            depth=self.explore_depth,
+            races=self.race_detect,
+        )
+        with _obs_registry().span(
             "supervisor.explore",
             identifier=task.identifier,
             schedules=self.explore_schedules,
             first_seed=self.explore_seed,
             strategy=self.explore_strategy,
         ) as span:
-            if self.explore_strategy == "exhaustive":
-                return self._explore_exhaustive(task, attempts, span)
-            for index in range(self.explore_schedules):
-                seed = self.explore_seed + index
-                if self.explore_strategy == "pct":
-                    strategy = PCTStrategy(seed, depth=max(1, self.explore_depth))
-                else:
-                    strategy = RandomWalkStrategy(seed)
-                backend = ScheduledBackend(strategy)
-                kind, result = self._run_attempt(task, backend=backend)
-                obs.counter("explore.schedules").inc()
-                attempts.append((kind, result))
+            report = explorer.run_to_first_failure()
+            span.set(executed=report.executed, deduped=report.deduped)
+            if exhaustive:
                 task.attempt_outcomes.append(
-                    f"{_attempt_label(kind, result)}@s{seed}"
+                    f"exhaustive:{report.failing_interleavings}of"
+                    f"{report.enumerated}" + ("" if report.complete else "+")
                 )
-                trace = backend.schedule_trace(task.identifier)
-                if self.race_detect:
-                    race_reports.append(self._analyze_trace_races(trace))
-                passed = kind is FailureKind.OK and result.score >= result.max_score
-                if not passed:
-                    task.failing_trace = trace
-                    span.set(failing_seed=seed)
-                    return _ExploreVerdict(
-                        found=True,
-                        failing_seed=seed,
-                        race_report=self._merge_races(race_reports),
-                    )
-            span.set(exonerated=True)
-        return _ExploreVerdict(race_report=self._merge_races(race_reports))
-
-    def _analyze_trace_races(self, trace) -> "RaceReport":
-        """Lockset/happens-before analysis of one recorded schedule."""
-        from repro.execution.races import analyze_trace
-
-        obs = _obs_registry()
-        report = analyze_trace(trace)
-        obs.counter("races.analyzed").inc()
-        if report.has_races:
-            obs.counter("races.detected").inc()
-            obs.counter("races.pairs").inc(report.race_count)
+                span.set(
+                    enumerated=report.enumerated,
+                    failing=report.failing_interleavings,
+                    complete=report.complete,
+                )
+                if report.bug_found:
+                    attempts.append(report.findings[0].payload)
+                elif best_passing is not None:
+                    attempts.append(best_passing)
+            if not report.bug_found:
+                span.set(exonerated=True)
+                return report
+            task.failing_trace = report.first_failing_trace()
+            if not exhaustive:
+                span.set(failing_seed=report.first_failing_seed)
         return report
-
-    def _merge_races(
-        self, reports: List["RaceReport"]
-    ) -> Optional["RaceReport"]:
-        """Fold per-schedule reports into one verdict-ready report."""
-        if not self.race_detect:
-            return None
-        from repro.execution.races import merge_reports
-
-        return merge_reports(reports)
-
-    def _explore_exhaustive(
-        self,
-        task: _TaskState,
-        attempts: List[Tuple[FailureKind, "SuiteResult"]],
-        span,
-    ) -> _ExploreVerdict:
-        """Exhaustive small-state exploration of one failing submission.
-
-        Enumerates all distinct interleavings within the
-        ``explore_depth`` preemption bound (``explore_schedules`` caps
-        *executions*; happens-before dedup stretches that budget).  The
-        rerun-vote history gets one summarizing ``exhaustive:NofM``
-        entry rather than one per run, and only the grade of record —
-        the first failing run, or the last passing one when exonerated —
-        is appended to *attempts*, so a 40-interleaving sweep does not
-        balloon the record.
-        """
-        from repro.execution.exploration import ExhaustiveSearch
-        from repro.execution.scheduling import ScheduledBackend
-
-        obs = _obs_registry()
-        last_passing: List[Tuple[FailureKind, "SuiteResult"]] = []
-        race_reports: List["RaceReport"] = []
-
-        def run_schedule(strategy):
-            backend = ScheduledBackend(strategy)
-            kind, result = self._run_attempt(task, backend=backend)
-            obs.counter("explore.schedules").inc()
-            passed = kind is FailureKind.OK and result.score >= result.max_score
-            trace = backend.schedule_trace(task.identifier)
-            if self.race_detect:
-                race_reports.append(self._analyze_trace_races(trace))
-            if passed:
-                last_passing[:] = [(kind, result)]
-            return not passed, trace, (kind, result, trace)
-
-        search = ExhaustiveSearch(
-            run_schedule,
-            depth=self.explore_depth,
-            max_schedules=max(1, self.explore_schedules),
-        )
-        out = search.run()
-        task.attempt_outcomes.append(
-            f"exhaustive:{out.failing}of{out.enumerated}"
-            + ("" if out.complete else "+")
-        )
-        span.set(
-            enumerated=out.enumerated,
-            failing=out.failing,
-            executed=out.executed,
-            deduped=out.deduped,
-            complete=out.complete,
-        )
-        verdict = _ExploreVerdict(
-            failing=out.failing,
-            enumerated=out.enumerated,
-            complete=out.complete,
-            race_report=self._merge_races(race_reports),
-        )
-        if out.failing_payloads:
-            kind, result, trace = out.failing_payloads[0]
-            attempts.append((kind, result))
-            task.failing_trace = trace
-            verdict.found = True
-            return verdict
-        if last_passing:
-            attempts.append(last_passing[0])
-        span.set(exonerated=True)
-        return verdict
 
     def _grade_with_retries(self, task: _TaskState) -> SubmissionOutcome:
         from repro.grading.records import SubmissionRecord
 
         rng = random.Random(f"{self.jitter_seed}:{task.student}")
-        attempts: List[Tuple[FailureKind, "SuiteResult"]] = []
-        verdict = _ExploreVerdict()
-        explored = False
+        attempts: List[_Attempt] = []
+        report: Optional["ExplorationReport"] = None
         for attempt in range(self.retries + 1):
             if attempt:
                 _obs_registry().counter("supervisor.retries").inc()
                 delay = self.backoff * (2 ** (attempt - 1))
                 time.sleep(delay * (0.5 + rng.random() / 2))
             kind, result = self._run_attempt(task)
-            attempts.append((kind, result))
-            task.attempt_outcomes.append(_attempt_label(kind, result))
             passed = kind is FailureKind.OK and result.score >= result.max_score
+            attempts.append(_Attempt(kind, result, passed))
+            task.attempt_outcomes.append(_attempt_label(attempts[-1]))
             # A clean-but-imperfect run is retried too: a racy program's
             # most common failure shape is a *wrong answer* under an
             # unlucky schedule, not a crash.
@@ -847,55 +777,42 @@ class GradingSupervisor:
                 kind is FailureKind.OK and not passed
             )
             if passed or not retryable:
-                if (
-                    passed
-                    and self.race_detect
-                    and self.explore_schedules > 0
-                    and not explored
-                ):
+                if passed and self.race_detect and self.explore_schedules > 0:
                     # Race sweep: a passing free-running attempt still
                     # gets explored under controlled schedules, so a
                     # lucky racy program is analyzed (and a failing
                     # schedule, if one exists, becomes the grade).
-                    verdict = self._explore_racy(task, attempts)
-                    explored = True
+                    report = self._explore(task, attempts)
                 break
             if self.explore_schedules > 0:
                 # Deterministic exploration replaces blind reruns: the
                 # verdict depends on the seed range, not scheduler luck.
-                verdict = self._explore_racy(task, attempts)
-                explored = True
+                report = self._explore(task, attempts)
                 break
 
         outcome_kinds = list(task.attempt_outcomes)
-        final_kind, final_result = attempts[-1]
-        final_passed = (
-            final_kind is FailureKind.OK
-            and final_result.score >= final_result.max_score
-        )
-        any_failed = any(
-            not (kind is FailureKind.OK and result.score >= result.max_score)
-            for kind, result in attempts
-        )
-        if verdict.found:
+        found = report is not None and report.bug_found
+        if found:
             # The failing controlled attempt (last) is the grade of
             # record: deterministic and replayable, so never flaky and
-            # never traded for a better-scoring free-running attempt.
-            pass
-        elif final_passed and any_failed:
-            # Rerun-vote (or full exoneration by exploration): failed
-            # under at least one schedule, passed under another / all
-            # explored ones — flaky, not correct-with-confidence.  (A
-            # race sweep whose every attempt passed stays ``ok``.)
-            final_kind = FailureKind.FLAKY_PASS
-        elif not final_passed and not explored:
-            # Keep the best-scoring attempt as the grade of record.
-            best_kind, best_result = max(
-                attempts, key=lambda pair: pair[1].score
+            # never traded for a better-scoring attempt.
+            grade = attempts[-1]
+        else:
+            # The best-scoring passing attempt, else the best-scoring
+            # one; ties go to the earliest, so a race sweep that finds no
+            # failing schedule keeps its free-running grade.
+            grade = max(
+                [a for a in attempts if a.passed] or attempts,
+                key=lambda a: a.result.score,
             )
-            final_kind, final_result = best_kind, best_result
+        final_kind, final_result = grade.kind, grade.result
+        if not found and grade.passed and not all(a.passed for a in attempts):
+            # Rerun-vote (or full exoneration by exploration): failed
+            # under one schedule, passed under another — flaky, not
+            # correct-with-confidence.
+            final_kind = FailureKind.FLAKY_PASS
 
-        race_report = verdict.race_report
+        race_report = report.race_report if report is not None else None
         cv = ""
         race_count = 0
         race_pairs: List[str] = []
@@ -907,7 +824,7 @@ class GradingSupervisor:
             race_pairs = race_report.pair_labels()
             race_contention = [c.to_dict() for c in race_report.contention]
             cv = concurrency_verdict(
-                passed=final_passed and not verdict.found,
+                passed=grade.passed and not found,
                 races=race_report.has_races,
             ).value
 
@@ -921,11 +838,11 @@ class GradingSupervisor:
             failure_kind=final_kind.value,
             attempts=len(attempts),
             attempt_outcomes=outcome_kinds,
-            schedule_seed=verdict.failing_seed,
-            schedule_strategy=self.explore_strategy if explored else "",
-            interleavings_failing=verdict.failing,
-            interleavings_total=verdict.enumerated,
-            interleavings_complete=bool(verdict.complete),
+            schedule_seed=report.first_failing_seed if report else None,
+            schedule_strategy=self.explore_strategy if report else "",
+            interleavings_failing=report.failing_interleavings if report else None,
+            interleavings_total=report.enumerated if report else None,
+            interleavings_complete=bool(report and report.complete),
             concurrency_verdict=cv,
             race_count=race_count,
             race_pairs=race_pairs,
@@ -949,7 +866,7 @@ class GradingSupervisor:
         self,
         task: _TaskState,
         record: "SubmissionRecord",
-        attempts: List[Tuple[FailureKind, "SuiteResult"]],
+        attempts: List[_Attempt],
     ) -> None:
         """Race-aware score adjustment of one grade of record.
 
@@ -960,9 +877,9 @@ class GradingSupervisor:
         from repro.core.credit import race_partial_credit
 
         passing = [
-            result.score
-            for kind, result in attempts
-            if kind is FailureKind.OK and result.score >= result.max_score
+            a.result.score
+            for a in attempts
+            if a.kind is FailureKind.OK and a.result.score >= a.result.max_score
         ]
         adjusted, note = race_partial_credit(
             record.score,

@@ -322,8 +322,13 @@ class SubmissionRecord:
             return True
         # The ``@s<seed>`` suffix marks *which* controlled schedule an
         # attempt ran under, not a different outcome: a race sweep whose
-        # every schedule passed must not read as disagreement.
-        outcomes = {o.split("@s", 1)[0] for o in self.attempt_outcomes}
+        # every schedule passed must not read as disagreement.  An
+        # ``exhaustive:NofM`` entry is a census, not an attempt.
+        outcomes = {
+            o.split("@s", 1)[0]
+            for o in self.attempt_outcomes
+            if not o.startswith("exhaustive:")
+        }
         return len(outcomes) > 1
 
     def schedule_tag(self) -> str:

@@ -1,9 +1,10 @@
 """Deterministic concurrency substrate: scheduling control + virtual time.
 
-Extends the paper's infrastructure with (a) the future-work item of
-influencing thread scheduling to catch synchronization bugs, and (b) a
+Extends the paper's infrastructure with a cooperative scheduler and a
 virtual clock so performance testing of CPU-bound fork-join code works
-under CPython's GIL (DESIGN.md §3).
+under CPython's GIL (DESIGN.md §3).  The paper's future-work item of
+influencing thread scheduling to catch synchronization bugs is
+:mod:`repro.execution.exploration`.
 """
 
 from repro.simulation.backend import (
@@ -16,10 +17,8 @@ from repro.simulation.backend import (
     use_backend,
 )
 from repro.simulation.clock import VirtualClock
-from repro.simulation.fuzzer import FuzzFinding, FuzzReport, ScheduleFuzzer
 from repro.simulation.scheduler import (
     CooperativeScheduler,
-    RandomPolicy,
     RoundRobinPolicy,
     SchedulePolicy,
     SerializedPolicy,
@@ -43,10 +42,6 @@ __all__ = [
     "SchedulePolicy",
     "RoundRobinPolicy",
     "SerializedPolicy",
-    "RandomPolicy",
-    "ScheduleFuzzer",
-    "FuzzReport",
-    "FuzzFinding",
     "CostModel",
     "UNIT_COST_MODEL",
     "trial_division_cost",

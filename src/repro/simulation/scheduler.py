@@ -1,13 +1,14 @@
 """Cooperative scheduler: deterministic control of thread interleaving.
 
 The paper's future-work section calls for "techniques for influencing
-thread scheduling to catch synchronization bugs"; this module supplies
-them.  Worker threads run as real ``threading.Thread`` objects but yield
-control at *checkpoints*; the scheduler grants execution to exactly one
-worker between checkpoints, choosing the next worker by a pluggable
-:class:`SchedulePolicy`.  Round-robin forces tight interleaving,
-``SerializedPolicy`` forces the fully serialized schedule Fig. 10 flags,
-and :class:`RandomPolicy` (seeded) drives the race fuzzer.
+thread scheduling to catch synchronization bugs".  This scheduler gates
+the virtual-time backend that performance tests run on; schedule search
+for bugs runs on :mod:`repro.execution.scheduling` instead.  Worker
+threads run as real ``threading.Thread`` objects but yield control at
+*checkpoints*; the scheduler grants execution to exactly one worker
+between checkpoints, choosing the next worker by a pluggable
+:class:`SchedulePolicy`.  Round-robin forces tight interleaving, and
+``SerializedPolicy`` forces the fully serialized schedule Fig. 10 flags.
 
 Only worker threads participate; the root thread runs free (it is
 blocked in ``join`` for the whole fork phase in a correct program).
@@ -15,7 +16,6 @@ blocked in ``join`` for the whole fork phase in a correct program).
 
 from __future__ import annotations
 
-import random
 import threading
 from typing import List, Optional, Protocol
 
@@ -25,7 +25,6 @@ __all__ = [
     "SchedulePolicy",
     "RoundRobinPolicy",
     "SerializedPolicy",
-    "RandomPolicy",
     "CooperativeScheduler",
 ]
 
@@ -55,16 +54,6 @@ class SerializedPolicy:
         if current is not None and current in ready:
             return current
         return ready[0]
-
-
-class RandomPolicy:
-    """Seeded random choice: the schedule fuzzer's engine."""
-
-    def __init__(self, seed: int) -> None:
-        self._rng = random.Random(seed)
-
-    def choose(self, ready: List[int], current: Optional[int]) -> int:
-        return self._rng.choice(ready)
 
 
 class CooperativeScheduler:

@@ -5,7 +5,7 @@ identifier               behaviour
 =======================  =============================================
 ``odds.correct``         reference solution
 ``odds.serialized``      threads run one after another
-``odds.racy``            unsynchronized total (fuzzer target)
+``odds.racy``            unsynchronized total (exploration target)
 ``odds.wrong_semantics`` inverted odd/even predicate
 ``odds.wrong_total``     off-by-one combined total
 ``odds.syntax_error``    misnamed pre-fork property + loop error

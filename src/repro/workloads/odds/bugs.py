@@ -87,7 +87,7 @@ def main_serialized(args: List[str]) -> None:
 
 @register_main("odds.racy")
 def main_racy(args: List[str]) -> None:
-    """Unsynchronized total (fuzzer target)."""
+    """Unsynchronized total (exploration target)."""
     _run(args, racy=True)
 
 

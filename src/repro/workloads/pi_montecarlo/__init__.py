@@ -5,7 +5,7 @@ identifier              behaviour
 =====================   ==============================================
 ``pi.correct``          reference solution
 ``pi.serialized``       threads run one after another
-``pi.racy``             unsynchronized hit total (fuzzer target)
+``pi.racy``             unsynchronized hit total (exploration target)
 ``pi.wrong_semantics``  taxicab-norm in-circle test
 ``pi.wrong_final``      PI printed without the factor 4
 ``pi.syntax_error``     misnamed pre-fork property

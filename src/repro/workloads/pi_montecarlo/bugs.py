@@ -100,7 +100,7 @@ def main_serialized(args: List[str]) -> None:
 
 @register_main("pi.racy")
 def main_racy(args: List[str]) -> None:
-    """Unsynchronized hit total: the schedule fuzzer's PI target."""
+    """Unsynchronized hit total: schedule exploration's PI target."""
     _run(args, racy=True)
 
 

@@ -10,7 +10,7 @@ identifier               behaviour
 ``primes.serialized``    serialized + imbalanced (Fig. 10 — 80 %)
 ``primes.syntax_error``  wrong name + loop error (Fig. 11 — 10 %)
 ``primes.imbalanced``    interleaved but lopsided load
-``primes.racy``          unsynchronized total (fuzzer target)
+``primes.racy``          unsynchronized total (exploration target)
 ``primes.wrong_semantics``  inverted primality predicate
 ``primes.wrong_total``   off-by-one combined total
 ``primes.no_fork``       root does all the work itself

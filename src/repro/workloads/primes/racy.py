@@ -3,7 +3,7 @@
 Identical to the reference solution except the shared total is updated
 with an unsynchronized read-modify-write that yields between the read and
 the write.  Under a benign schedule every check passes; under an
-adversarial one (the schedule fuzzer of :mod:`repro.simulation.fuzzer`)
+adversarial one (schedule exploration, :mod:`repro.execution.exploration`)
 two workers read the same snapshot and one update is lost, which the
 post-join semantic check exposes as a total that is not the sum of the
 per-thread counts.

@@ -5,10 +5,14 @@ serialized schedule, a misnamed property).  Rather than contriving a
 workload that happens to produce it, these helpers fabricate the
 ``ExecutionResult`` directly: dummy thread objects, hand-written event
 schedules, and the same formatting the real tracing layer uses.
+
+:class:`SeededPolicy` drives the cooperative scheduler through seeded
+random grants, for tests that need an arbitrary but repeatable order.
 """
 
 from __future__ import annotations
 
+import random
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -16,6 +20,20 @@ from repro.eventdb.database import EventDatabase
 from repro.execution.runner import ExecutionResult
 from repro.tracing.formatting import format_property_line
 from repro.util.thread_registry import ThreadRegistry
+
+class SeededPolicy:
+    """Cooperative-scheduler policy: a seeded uniform choice of worker.
+
+    One ``random.Random(seed).choice`` call per grant: the call stream
+    ``tests/test_handoff.py`` pins for ``random-7``.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._rng = random.Random(seed)
+
+    def choose(self, ready: List[int], current: Optional[int]) -> int:
+        return self._rng.choice(ready)
+
 
 #: A scheduled print: (thread_key, property_name, value).  thread_key
 #: "R" is the root; any other key is a worker.

@@ -28,7 +28,7 @@ from repro.execution.equivalence import (
     happens_before_key,
     segment_stream,
 )
-from repro.execution.exploration import ScheduleExplorer
+from repro.execution.exploration import ScheduleExplorer, checker_runs
 from repro.execution.races import analyze_trace
 from repro.execution.runner import ProgramRunner, in_process_session_lock
 from repro.execution.scheduling import (
@@ -88,11 +88,12 @@ def campaign(request):
     entry is ``("executed", trace)`` or ``("simulated", SimulatedRun)``."""
     schedules = []
 
-    class Recording(ScheduleExplorer):
-        def run_one(self, strategy):
-            result, trace = super().run_one(strategy)
-            schedules.append(("executed", trace))
-            return result, trace
+    run_schedule = checker_runs(CAMPAIGNS[request.param])
+
+    def recording_run(strategy):
+        failed, trace, result = run_schedule(strategy)
+        schedules.append(("executed", trace))
+        return failed, trace, result
 
     simulate = ScheduleOracle.simulate
 
@@ -103,8 +104,8 @@ def campaign(request):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ScheduleOracle, "simulate", recording_simulate)
-        report = Recording(
-            CAMPAIGNS[request.param],
+        report = ScheduleExplorer(
+            recording_run,
             strategy="exhaustive",
             depth=2,
             max_schedules=40,

@@ -17,8 +17,10 @@ class TestParser:
         assert parser.parse_args(["list"]).command == "list"
         args = parser.parse_args(["run", "primes", "--submission", "primes.correct"])
         assert args.suite == "primes" and args.submission == "primes.correct"
-        args = parser.parse_args(["fuzz", "primes.racy", "--schedules", "7"])
-        assert args.schedules == 7
+        args = parser.parse_args(
+            ["explore", "primes.racy", "--strategy", "random-walk", "--schedules", "7"]
+        )
+        assert args.schedules == 7 and args.strategy == "random-walk"
 
 
 class TestCommands:
@@ -64,14 +66,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "hello.correct" in out and "hello.no_fork" in out
 
+    # Schedule fuzzing is seeded random-walk exploration.
     def test_fuzz_detects_racy_submission(self, capsys):
-        code = main(["fuzz", "primes.racy", "--schedules", "4"])
+        code = main(
+            ["explore", "primes.racy", "--strategy", "random-walk", "--schedules", "4"]
+        )
         assert code == 1
         assert "schedules failed" in capsys.readouterr().out
 
     def test_fuzz_passes_correct_submission(self, capsys):
-        code = main(["fuzz", "primes.correct", "--schedules", "3"])
+        code = main(
+            ["explore", "primes.correct", "--strategy", "random-walk",
+             "--schedules", "3"]
+        )
         assert code == 0
 
     def test_fuzz_other_problems(self, capsys):
-        assert main(["fuzz", "odds.racy", "--problem", "odds", "--schedules", "4"]) == 1
+        code = main(
+            ["explore", "odds.racy", "--problem", "odds",
+             "--strategy", "random-walk", "--schedules", "4"]
+        )
+        assert code == 1

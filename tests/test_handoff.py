@@ -33,11 +33,11 @@ from repro.execution.scheduling import (
 from repro.simulation.backend import SimulationBackend, last_makespan
 from repro.simulation.scheduler import (
     CooperativeScheduler,
-    RandomPolicy,
     RoundRobinPolicy,
     SerializedPolicy,
 )
 from repro.util.handoff import Handoff
+from tests.helpers import SeededPolicy
 
 #: Generous per-join bound: a lost wake-up hangs a worker forever, and
 #: the test must then fail rather than wedge the suite.
@@ -192,7 +192,7 @@ GOLDEN_DECISIONS = {
 POLICIES = {
     "round-robin": RoundRobinPolicy,
     "serialized": SerializedPolicy,
-    "random-7": lambda: RandomPolicy(7),
+    "random-7": lambda: SeededPolicy(7),
 }
 
 
@@ -274,7 +274,7 @@ def racy_increment(counter):
 class TestCooperativeStress:
     @pytest.mark.parametrize(
         "policy",
-        [RoundRobinPolicy, lambda: RandomPolicy(11)],
+        [RoundRobinPolicy, lambda: SeededPolicy(11)],
         ids=["round-robin", "random"],
     )
     def test_no_update_is_lost(self, policy):

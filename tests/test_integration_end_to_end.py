@@ -6,7 +6,7 @@ import pytest
 
 from repro.grading import ProgressLog, analyze_progress, grade_batch
 from repro.graders import PrimesFunctionality, build_primes_suite
-from repro.simulation import ScheduleFuzzer
+from repro.execution.exploration import ScheduleExplorer, checker_runs
 from repro.testfw.suite import TestSuite
 from repro.testfw.ui import SuiteUI
 
@@ -77,8 +77,9 @@ class TestInteractiveUIStory:
 
 class TestFuzzingStory:
     def test_race_hidden_from_one_schedule_found_by_many(self):
-        """A single benign schedule can pass the racy program; the fuzzer
-        (paper's future-work item) still finds it."""
+        """A single benign schedule can pass the racy program; seeded
+        random-walk exploration (paper's future-work item) still finds
+        it."""
         from repro.simulation.backend import SimulationBackend, use_backend
         from repro.simulation.scheduler import SerializedPolicy
 
@@ -91,7 +92,9 @@ class TestFuzzingStory:
         )
         assert post_join_ok  # the race itself was invisible
 
-        report = ScheduleFuzzer(
-            lambda: PrimesFunctionality("primes.racy"), schedules=6
+        report = ScheduleExplorer(
+            checker_runs(lambda: PrimesFunctionality("primes.racy")),
+            schedules=6,
+            strategy="random-walk",
         ).run()
         assert report.bug_found

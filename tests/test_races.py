@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.core.credit import race_partial_credit
-from repro.execution.exploration import ScheduleExplorer
+from repro.execution.exploration import ScheduleExplorer, checker_runs
 from repro.execution.races import RaceReport, analyze_trace, merge_reports
 from repro.execution.runner import ProgramRunner, in_process_session_lock
 from repro.execution.scheduling import RandomWalkStrategy, ScheduledBackend
@@ -139,7 +139,7 @@ class TestVerdictAndCredit:
 class TestExplorerRaces:
     def test_lost_update_campaign_collects_race_evidence(self):
         report = ScheduleExplorer(
-            lost_factory(), schedules=6, first_seed=0, races=True
+            checker_runs(lost_factory()), schedules=6, first_seed=0, races=True
         ).run()
         assert report.bug_found
         assert report.race_report is not None
@@ -149,7 +149,7 @@ class TestExplorerRaces:
 
     def test_guarded_campaign_is_exonerated_and_clean(self):
         report = ScheduleExplorer(
-            guarded_factory(), schedules=4, first_seed=0, races=True
+            checker_runs(guarded_factory()), schedules=4, first_seed=0, races=True
         ).run()
         assert not report.bug_found
         assert report.race_report is not None
@@ -159,7 +159,7 @@ class TestExplorerRaces:
 
     def test_without_races_flag_no_report_is_built(self):
         report = ScheduleExplorer(
-            guarded_factory(), schedules=2, first_seed=0
+            checker_runs(guarded_factory()), schedules=2, first_seed=0
         ).run()
         assert report.race_report is None
         assert report.concurrency_verdict is None

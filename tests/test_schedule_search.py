@@ -13,7 +13,10 @@ Pins the behaviour the verdicts stand on:
   misprediction that fails open, not a crash;
 * ``failure_rate`` divides by executed schedules, not enumerated ones;
 * the supervisor, gradebook, HTML report, CSV export, and CLI all carry
-  the ``N of M interleavings fail`` verdict through unchanged.
+  the ``N of M interleavings fail`` verdict through unchanged;
+* a controlled run is judged once, by ``failure_reasons``, and never on
+  the thread-interleaving aspect, so a correct program is not racy;
+* exploration refuses programs that would run outside the scheduler.
 """
 
 from __future__ import annotations
@@ -28,15 +31,20 @@ from repro.execution.exploration import (
     ExhaustiveSearch,
     ExplorationReport,
     ScheduleExplorer,
+    checker_runs,
+    failure_reasons,
 )
 from repro.execution.supervisor import GradingSupervisor
 from repro.grading.export import gradebook_csv
 from repro.grading.html_report import gradebook_html
 from repro.grading.records import SubmissionRecord
-from repro.graders import PrimesFunctionality
-from repro.graders.suites import build_synclab_suite
-from repro.graders.synclab import SyncLabCounterFunctionality
-from repro.testfw.result import SuiteResult, TestResult
+from repro.grading.service import GradingService
+from repro.graders.suites import build_primes_suite, build_synclab_suite
+from repro.graders.synclab import (
+    SyncLabCounterFunctionality,
+    SyncLabStragglerFunctionality,
+)
+from repro.testfw.result import AspectOutcome, AspectStatus, SuiteResult, TestResult
 
 
 def lost_update_factory():
@@ -49,53 +57,59 @@ def guarded_factory():
         "synclab.guarded", workers=2, rounds=1
     )
 
-def primes_factory(identifier="primes.racy"):
-    return lambda: PrimesFunctionality(identifier, num_randoms=12, num_threads=3)
+def straggler_factory():
+    """PCT's designed target: a depth-1 ordering bug (``--depth 1``)."""
+    return lambda: SyncLabStragglerFunctionality("synclab.straggler")
 
 
-class KeyLoggingExplorer(ScheduleExplorer):
-    """Explorer that records the happens-before key of every *executed*
-    run — the dedup guarantee is exactly "this list has no repeats"."""
+def key_logging(factory, executed_keys):
+    """Run callback that records the happens-before key of every
+    *executed* run — the dedup guarantee is exactly "this list has no
+    repeats"."""
+    run_schedule = checker_runs(factory)
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.executed_keys = []
+    def run(strategy):
+        failed, trace, result = run_schedule(strategy)
+        executed_keys.append(happens_before_key(trace))
+        return failed, trace, result
 
-    def run_one(self, strategy):
-        result, trace = super().run_one(strategy)
-        self.executed_keys.append(happens_before_key(trace))
-        return result, trace
+    return run
 
 
 # ----------------------------------------------------------------------
 # PCT
 # ----------------------------------------------------------------------
 class TestPCTExploration:
-    def test_finds_the_racy_bug_and_is_deterministic(self):
-        def campaign():
-            return ScheduleExplorer(
-                primes_factory(), schedules=6, first_seed=0, strategy="pct", depth=3
-            ).run()
+    """PCT at depth 1 on the straggler: 3 of seeds 0-9 fail, the first
+    at ``pct:1.d1`` (the ablation's setting)."""
 
-        report_a, report_b = campaign(), campaign()
+    def campaign(self):
+        return ScheduleExplorer(
+            checker_runs(straggler_factory()),
+            schedules=10,
+            first_seed=0,
+            strategy="pct",
+            depth=1,
+        )
+
+    def test_finds_the_racy_bug_and_is_deterministic(self):
+        report_a, report_b = self.campaign().run(), self.campaign().run()
         assert report_a.bug_found
-        assert report_a.depth == 3
-        assert report_a.findings[0].strategy_label.startswith("pct:")
+        assert report_a.depth == 1
+        assert report_a.findings[0].strategy_label == "pct:1.d1"
         assert [f.strategy_label for f in report_a.findings] == [
             f.strategy_label for f in report_b.findings
         ]
         assert report_a.first_failing_seed == report_b.first_failing_seed
 
     def test_pct_finding_replays_decision_for_decision(self):
-        explorer = ScheduleExplorer(
-            primes_factory(), schedules=6, first_seed=0, strategy="pct", depth=3
-        )
+        explorer = self.campaign()
         report = explorer.run()
         trace = report.first_failing_trace()
         assert trace is not None
-        result, replayed = explorer.replay(trace)
+        failed, replayed, result = explorer.replay(trace)
         assert replayed.divergence == ""
-        assert result.score < result.max_score
+        assert failed and result.score < result.max_score
         assert [d.to_dict() for d in replayed.decisions] == [
             d.to_dict() for d in trace.decisions
         ]
@@ -106,27 +120,34 @@ class TestPCTExploration:
 # ----------------------------------------------------------------------
 class TestDedup:
     def test_never_reexecutes_a_seen_key(self):
-        explorer = KeyLoggingExplorer(
-            lost_update_factory(), schedules=20, first_seed=0
-        )
-        report = explorer.run()
+        executed_keys = []
+        report = ScheduleExplorer(
+            key_logging(lost_update_factory(), executed_keys),
+            schedules=20,
+            first_seed=0,
+        ).run()
         assert report.mispredicted == 0
         assert report.deduped > 0
         assert report.executed + report.deduped == report.schedules_tried
-        assert len(set(explorer.executed_keys)) == len(explorer.executed_keys)
-        assert report.distinct == len(explorer.executed_keys)
+        assert len(set(executed_keys)) == len(executed_keys)
+        assert report.distinct == len(executed_keys)
 
     def test_dedup_off_executes_every_candidate(self):
         report = ScheduleExplorer(
-            lost_update_factory(), schedules=20, first_seed=0, dedup=False
+            checker_runs(lost_update_factory()),
+            schedules=20,
+            first_seed=0,
+            dedup=False,
         ).run()
         assert report.executed == report.schedules_tried == 20
         assert report.deduped == 0
 
     def test_dedup_preserves_the_verdict(self):
-        on = ScheduleExplorer(lost_update_factory(), schedules=20).run()
+        on = ScheduleExplorer(
+            checker_runs(lost_update_factory()), schedules=20
+        ).run()
         off = ScheduleExplorer(
-            lost_update_factory(), schedules=20, dedup=False
+            checker_runs(lost_update_factory()), schedules=20, dedup=False
         ).run()
         assert on.bug_found == off.bug_found
         # Same seeds, same schedules — the first failing seed agrees.
@@ -140,7 +161,9 @@ class TestExhaustive:
     def run_exhaustive(self, factory, **kwargs):
         kwargs.setdefault("depth", 2)
         kwargs.setdefault("max_schedules", 256)
-        return ScheduleExplorer(factory, strategy="exhaustive", **kwargs).run()
+        return ScheduleExplorer(
+            checker_runs(factory), strategy="exhaustive", **kwargs
+        ).run()
 
     def test_lost_update_census_is_exactly_8_of_26(self):
         report = self.run_exhaustive(lost_update_factory())
@@ -193,9 +216,6 @@ class TestFailureRate:
         return ExplorationFinding(
             strategy_label="random-walk:0",
             seed=0,
-            score=0.0,
-            max_score=10.0,
-            failed_aspects=["semantics"],
             messages=["boom"],
             trace=ScheduleTrace(),
         )
@@ -381,7 +401,9 @@ class TestDivergingSimulation:
 
     def explore(self, path, dedup):
         return ScheduleExplorer(
-            lambda: SyncLabCounterFunctionality(path, workers=2, rounds=1),
+            checker_runs(
+                lambda: SyncLabCounterFunctionality(path, workers=2, rounds=1)
+            ),
             strategy="exhaustive",
             depth=2,
             max_schedules=256,
@@ -427,6 +449,20 @@ class TestDivergingSimulation:
         assert "distinct interleavings fail" in out
 
 
+class TestCensusEntryIsNotAVote:
+    def test_exonerated_census_is_not_flaky(self):
+        record = SubmissionRecord.from_suite_result(
+            "s",
+            SuiteResult("synclab", [TestResult("T", 10.0, 10.0)]),
+            attempt_outcomes=["pass", "exhaustive:0of40"],
+        )
+        assert not record.flaky
+        record.attempt_outcomes = ["fail(50%)", "exhaustive:0of40"]
+        assert not record.flaky
+        record.attempt_outcomes = ["fail(50%)", "pass", "exhaustive:0of40"]
+        assert record.flaky
+
+
 class TestSeededTagStillWorks:
     def test_schedule_tag_prefers_census_over_seed(self):
         record = SubmissionRecord.from_suite_result(
@@ -463,3 +499,163 @@ class TestCliStrategyChoices:
         choices = tuple(action.choices)
         assert choices == ("random-walk", "pct", "exhaustive")
         assert set(choices) <= set(STRATEGY_CHOICES)
+
+
+# ----------------------------------------------------------------------
+# One judgment for a controlled run, blind to the interleaving aspect
+# ----------------------------------------------------------------------
+def aspect(name, earned, possible, message=""):
+    status = AspectStatus.PASSED if earned >= possible else AspectStatus.FAILED
+    return AspectOutcome(name, status, message, earned, possible)
+
+
+class TestFailureReasons:
+    def test_losing_only_the_interleaving_aspect_passes(self):
+        # Scores are rounded to 6 places, the lost points are not.
+        result = TestResult(
+            "T",
+            round(40.0 - 40.0 / 15.0, 6),
+            40.0,
+            outcomes=[
+                aspect("fork syntax", 40.0 / 15.0 * 4.0, 40.0 / 15.0 * 4.0),
+                aspect("thread interleaving", 0.0, 40.0 / 15.0, "not interleaved"),
+            ],
+            failure_kind="ok",
+        )
+        assert failure_reasons([result]) == []
+
+    def test_any_other_lost_aspect_fails_with_its_message(self):
+        result = TestResult(
+            "T",
+            6.0,
+            10.0,
+            outcomes=[
+                aspect("thread interleaving", 0.0, 2.0, "not interleaved"),
+                aspect("post-join semantics", 0.0, 2.0, "total 1 != 2"),
+            ],
+            failure_kind="ok",
+        )
+        assert failure_reasons([result]) == ["total 1 != 2"]
+
+    def test_fatal_kind_and_unattributed_losses_fail(self):
+        assert failure_reasons([TestResult("T", 0.0, 10.0, fatal="hung")]) == ["hung"]
+        assert failure_reasons(
+            [TestResult("T", 10.0, 10.0, failure_kind="garbled-trace")]
+        ) == ["T: garbled-trace"]
+        assert failure_reasons([TestResult("T", 5.0, 10.0)]) == ["T scored 5/10"]
+        assert failure_reasons([TestResult("T", 10.0, 10.0)]) == []
+
+
+class TestInterleavingNeverDecides:
+    """The parent judged controlled runs on the interleaving aspect:
+    these campaigns marked ``primes.correct`` racy (93.3%) and made
+    ``explore`` exit 1 on correct programs."""
+
+    def grade(self, **explore):
+        supervisor = GradingSupervisor(
+            build_primes_suite, race_detect=True, **explore
+        )
+        return supervisor.grade({"primes.correct": "primes.correct"})
+
+    def assert_clean(self, batch):
+        record = batch.gradebook.latest("primes.correct")
+        assert record.percent == pytest.approx(100.0)
+        assert record.failure_kind == "ok"
+        assert not record.racy and not record.flaky
+        assert record.concurrency_verdict == "correct"
+        assert "racy" not in batch.gradebook.render()
+        assert "schedule-dependent" not in batch.summary()
+        return record
+
+    def test_pct_race_sweep_keeps_the_free_running_grade(self):
+        record = self.assert_clean(
+            self.grade(explore_schedules=12, explore_strategy="pct")
+        )
+        assert record.schedule_seed is None
+
+    def test_exhaustive_race_sweep_finds_no_failing_interleaving(self):
+        record = self.assert_clean(
+            self.grade(
+                explore_schedules=40,
+                explore_strategy="exhaustive",
+                explore_depth=2,
+            )
+        )
+        assert record.interleavings_failing == 0
+        assert record.interleavings_total > 0
+
+    def test_cli_grade_prints_full_marks_and_no_racy_tag(self, capsys):
+        status = cli_main(
+            ["grade", "primes", "--submissions", "primes.correct",
+             "--explore", "12", "--explore-strategy", "pct", "--race-detect"]
+        )
+        out = capsys.readouterr().out
+        assert status == 0
+        assert "100.0%" in out
+        assert "racy" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["primes.correct"],
+            ["jacobi.correct", "--problem", "jacobi"],
+        ],
+        ids=["primes.correct", "jacobi.correct"],
+    )
+    def test_explore_exonerates_correct_programs(self, argv, capsys):
+        status = cli_main(
+            ["explore", *argv, "--strategy", "pct", "--schedules", "12"]
+        )
+        assert status == 0
+        assert "no failing schedule in 12 explored" in capsys.readouterr().out
+
+    def test_racy_primes_still_fails_at_seed_0(self):
+        batch = GradingSupervisor(
+            build_primes_suite, explore_schedules=20
+        ).grade({"primes.racy": "primes.racy"})
+        record = batch.gradebook.latest("primes.racy")
+        assert record.percent == pytest.approx(93.3, abs=0.05)
+        assert record.schedule_tag() == "@seed 0"
+
+
+# ----------------------------------------------------------------------
+# Exploration refuses programs that run outside the scheduler
+# ----------------------------------------------------------------------
+class TestOutOfProcessExplorationRefused:
+    """A subprocess or pooled program never sees the in-process
+    scheduler: the parent recorded empty schedules and graded
+    ``synclab.straggler`` 100% and complete, 1 of 1 interleavings."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--pool-size", "1"], ["--subprocess"], ["--shards", "2", "--subprocess"]],
+        ids=["pool-size", "subprocess", "sharded-subprocess"],
+    )
+    def test_cli_grade_exits_2_before_grading(self, flags, capsys):
+        status = cli_main(
+            ["grade", "synclab", "--submissions", "synclab.straggler",
+             "--explore", "5", *flags]
+        )
+        captured = capsys.readouterr()
+        assert status == 2
+        assert "--explore" in captured.err
+        assert "Gradebook" not in captured.out
+
+    def test_supervisor_with_a_pool_raises(self):
+        with pytest.raises(ValueError, match="explore_schedules"):
+            GradingSupervisor(
+                build_synclab_suite, pool=object(), explore_schedules=1
+            )
+        GradingSupervisor(build_synclab_suite, pool=object())
+
+    @pytest.mark.parametrize(
+        "mode",
+        [{"subprocess_mode": True}, {"pool_size": 1}],
+        ids=["subprocess", "pool"],
+    )
+    def test_service_out_of_process_raises(self, mode, tmp_path):
+        with pytest.raises(ValueError, match="explore_schedules"):
+            GradingService(
+                "synclab", workdir=tmp_path, explore_schedules=5, **mode
+            )
+        GradingService("synclab", workdir=tmp_path, **mode)

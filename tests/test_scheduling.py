@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.execution.exploration import ScheduleExplorer
+from repro.execution.exploration import ScheduleExplorer, checker_runs
 from repro.execution.runner import ProgramRunner
 from repro.execution.scheduling import (
     BoundedPreemptionStrategy,
@@ -474,12 +474,14 @@ class TestFreeRunningRelease:
 
 
 class TestExplorer:
-    def factory(self, identifier=RACY):
-        return lambda: PrimesFunctionality(identifier, num_randoms=12, num_threads=3)
+    def runs(self, identifier=RACY):
+        return checker_runs(
+            lambda: PrimesFunctionality(identifier, num_randoms=12, num_threads=3)
+        )
 
     def test_exploration_is_deterministic(self):
-        report_a = ScheduleExplorer(self.factory(), schedules=5, first_seed=0).run()
-        report_b = ScheduleExplorer(self.factory(), schedules=5, first_seed=0).run()
+        report_a = ScheduleExplorer(self.runs(), schedules=5, first_seed=0).run()
+        report_b = ScheduleExplorer(self.runs(), schedules=5, first_seed=0).run()
         assert report_a.bug_found
         assert [f.strategy_label for f in report_a.findings] == [
             f.strategy_label for f in report_b.findings
@@ -487,30 +489,30 @@ class TestExplorer:
         assert report_a.first_failing_seed == report_b.first_failing_seed
 
     def test_explorer_replays_its_own_finding(self):
-        explorer = ScheduleExplorer(self.factory(), schedules=5, first_seed=0)
+        explorer = ScheduleExplorer(self.runs(), schedules=5, first_seed=0)
         report = explorer.run()
         trace = report.first_failing_trace()
-        result, replayed = explorer.replay(trace)
+        failed, replayed, result = explorer.replay(trace)
         assert replayed.divergence == ""
-        assert result.score < result.max_score
+        assert failed and result.score < result.max_score
         assert [d.to_dict() for d in replayed.decisions] == [
             d.to_dict() for d in trace.decisions
         ]
 
     def test_correct_program_is_exonerated(self):
-        report = ScheduleExplorer(self.factory(CORRECT), schedules=4).run()
+        report = ScheduleExplorer(self.runs(CORRECT), schedules=4).run()
         assert not report.bug_found
         assert "refute" in report.summary()
 
     def test_preemption_sweep_strategy(self):
         report = ScheduleExplorer(
-            self.factory(), schedules=6, strategy="preemption-sweep", max_quantum=2
+            self.runs(), schedules=6, strategy="preemption-sweep", max_quantum=2
         ).run()
         assert report.bug_found
         assert report.findings[0].strategy_label.startswith("preemption-bound:")
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
-            ScheduleExplorer(self.factory(), schedules=0)
+            ScheduleExplorer(self.runs(), schedules=0)
         with pytest.raises(ValueError):
-            ScheduleExplorer(self.factory(), strategy="chaos-monkey")
+            ScheduleExplorer(self.runs(), strategy="chaos-monkey")

@@ -1,4 +1,8 @@
-"""Tests of the simulation substrate: clock, scheduler, backend, fuzzer."""
+"""Tests of the simulation substrate: clock, scheduler, backend.
+
+``TestFuzzer`` keeps the schedule-fuzzing checks, now run as seeded
+random-walk exploration on the controlled scheduler.
+"""
 
 from __future__ import annotations
 
@@ -14,15 +18,15 @@ from repro.simulation.backend import (
     record_makespan,
     use_backend,
 )
+from repro.execution.exploration import ScheduleExplorer, checker_runs
 from repro.simulation.clock import VirtualClock
-from repro.simulation.fuzzer import ScheduleFuzzer
 from repro.simulation.scheduler import (
     CooperativeScheduler,
-    RandomPolicy,
     RoundRobinPolicy,
     SerializedPolicy,
 )
 from repro.simulation.workload_model import UNIT_COST_MODEL, CostModel, trial_division_cost
+from tests.helpers import SeededPolicy
 
 
 class TestVirtualClock:
@@ -110,14 +114,14 @@ class TestSchedulerPolicies:
                 previous = key
 
     def test_random_policy_is_deterministic_per_seed(self):
-        first = self.run_workers(RandomPolicy(7))
-        second = self.run_workers(RandomPolicy(7))
-        third = self.run_workers(RandomPolicy(8))
+        first = self.run_workers(SeededPolicy(7))
+        second = self.run_workers(SeededPolicy(7))
+        third = self.run_workers(SeededPolicy(8))
         assert first == second
         assert first != third  # overwhelmingly likely for 9 events
 
     def test_all_events_complete_under_every_policy(self):
-        for policy in (RoundRobinPolicy(), SerializedPolicy(), RandomPolicy(0)):
+        for policy in (RoundRobinPolicy(), SerializedPolicy(), SeededPolicy(0)):
             log = self.run_workers(policy)
             assert len(log) == 9
             assert sorted(set(log)) == [(k, s) for k in range(3) for s in range(3)]
@@ -257,31 +261,34 @@ class TestCostModels:
 
 
 class TestFuzzer:
-    def test_racy_primes_caught(self):
+    """Schedule fuzzing: seeded random-walk exploration of one checker."""
+
+    def fuzz(self, identifier, schedules):
         from repro.graders import PrimesFunctionality
 
-        fuzzer = ScheduleFuzzer(
-            lambda: PrimesFunctionality("primes.racy"), schedules=6
-        )
-        report = fuzzer.run()
+        return ScheduleExplorer(
+            checker_runs(lambda: PrimesFunctionality(identifier)),
+            schedules=schedules,
+            strategy="random-walk",
+        ).run()
+
+    def test_racy_primes_caught(self):
+        report = self.fuzz("primes.racy", schedules=6)
         assert report.bug_found
         assert 0 < report.failure_rate <= 1.0
         finding = report.findings[0]
         assert finding.seed >= 0
         assert finding.messages
-        assert "failing seed" in report.summary()
+        assert f"first failing schedule random-walk:{finding.seed}" in (
+            report.summary()
+        )
 
     def test_correct_primes_survives_fuzzing(self):
-        from repro.graders import PrimesFunctionality
-
-        fuzzer = ScheduleFuzzer(
-            lambda: PrimesFunctionality("primes.correct"), schedules=4
-        )
-        report = fuzzer.run()
+        report = self.fuzz("primes.correct", schedules=4)
         assert not report.bug_found
         assert report.failure_rate == 0.0
         assert "can only refute" in report.summary()
 
     def test_invalid_schedule_count_rejected(self):
         with pytest.raises(ValueError):
-            ScheduleFuzzer(lambda: None, schedules=0)
+            ScheduleExplorer(checker_runs(lambda: None), schedules=0)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from repro.simulation.backend import SimulationBackend
 from repro.simulation.clock import VirtualClock
-from repro.simulation.scheduler import RandomPolicy, RoundRobinPolicy, SerializedPolicy
+from repro.simulation.scheduler import RoundRobinPolicy, SerializedPolicy
+from tests.helpers import SeededPolicy
 
 #: Keep the thread churn manageable: hypothesis runs each property many
 #: times and every example spawns real threads.
@@ -48,7 +49,7 @@ iteration_lists = st.lists(st.integers(min_value=0, max_value=4), min_size=1, ma
 @_SETTINGS
 @given(iteration_lists, st.integers(min_value=0, max_value=100))
 def test_every_step_completes_under_any_random_schedule(counts, seed):
-    log = run_gated(RandomPolicy(seed), counts)
+    log = run_gated(SeededPolicy(seed), counts)
     expected = {(k, s) for k, steps in enumerate(counts) for s in range(steps)}
     assert set(log) == expected
     assert len(log) == len(expected)
@@ -57,7 +58,7 @@ def test_every_step_completes_under_any_random_schedule(counts, seed):
 @_SETTINGS
 @given(iteration_lists, st.integers(min_value=0, max_value=100))
 def test_per_worker_order_is_program_order(counts, seed):
-    log = run_gated(RandomPolicy(seed), counts)
+    log = run_gated(SeededPolicy(seed), counts)
     for key in range(len(counts)):
         steps = [s for k, s in log if k == key]
         assert steps == sorted(steps)
