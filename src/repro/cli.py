@@ -169,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "after a retryable failure, re-grade under N controlled "
             "schedules instead of blind reruns; the first failing "
-            "schedule's seed is recorded in the gradebook for replay "
-            "(in-process only: refused with --subprocess or --pool-size)"
+            "schedule's seed is recorded in the gradebook for replay"
         ),
     )
     grade.add_argument(
@@ -754,15 +753,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.grading.journal import GradingJournal
 
         identifiers = [s.strip() for s in args.submissions.split(",") if s.strip()]
-        if args.explore > 0 and (args.subprocess or args.pool_size > 0):
-            print(
-                "grade: --explore runs each program under the in-process "
-                "controlled scheduler; with --subprocess or --pool-size the "
-                "program runs in a child process outside it, so no schedule "
-                "would be explored",
-                file=sys.stderr,
-            )
-            return 2
         if args.shards > 0:
             return _grade_sharded(args, identifiers)
         journal = GradingJournal(args.resume) if args.resume else None

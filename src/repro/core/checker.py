@@ -13,7 +13,8 @@ error messages.
 
 The checking pipeline per run:
 
-1. execute ``main(args)`` to completion under a trace session;
+1. execute ``main(args)`` to completion under a trace session, on the
+   default controlled schedule (:data:`DEFAULT_SCHEDULE`);
 2. organise events into the phased trace;
 3. static + dynamic **syntax** checks;
 4. if any syntax aspect failed → concurrency and semantic checks are
@@ -44,10 +45,22 @@ from repro.execution.runner import (
     ExecutionResult,
     ProgramRunner,
 )
+from repro.execution.scheduling import BoundedPreemptionStrategy
 from repro.testfw.case import ScoredTestCase
 from repro.testfw.result import TestResult
 
-__all__ = ["AbstractForkJoinChecker"]
+__all__ = ["DEFAULT_SCHEDULE", "AbstractForkJoinChecker"]
+
+#: The controlled schedule every checked run follows, cloned per run:
+#: round-robin with a one-decision quantum (``preemption-bound:q1.r0``).
+#: Each worker print and checkpoint hands the grant to the next worker,
+#: so a grade is a pure function of the program and this schedule, and
+#: the recorded decisions land on ``ExecutionResult.schedule``.  A
+#: backend the caller installed with
+#: :func:`~repro.simulation.backend.use_backend` wins over it: an
+#: explorer's schedule, a simulation policy, or ``ThreadingBackend()``
+#: to run on free OS threads.
+DEFAULT_SCHEDULE = BoundedPreemptionStrategy(quantum=1)
 
 
 class AbstractForkJoinChecker(ScoredTestCase):
@@ -228,12 +241,12 @@ class AbstractForkJoinChecker(ScoredTestCase):
         """
         identifier = self.main_class_identifier()
         runner = self.make_runner()
+        options: Dict[str, Any] = {"schedule": DEFAULT_SCHEDULE.clone()}
+        stdin = self.stdin_lines()
+        if stdin is not None:
+            options["stdin_lines"] = stdin
         try:
-            stdin = self.stdin_lines()
-            if stdin is not None:
-                execution = runner.run(identifier, self.args(), stdin_lines=stdin)
-            else:
-                execution = runner.run(identifier, self.args())
+            execution = runner.run(identifier, self.args(), **options)
         except UnknownMainError as exc:
             result = TestResult(
                 test_name=self.name,
@@ -254,6 +267,7 @@ class AbstractForkJoinChecker(ScoredTestCase):
                     identifier, execution.failure_reason()
                 ),
                 failure_kind=execution.failure_kind.value,
+                schedule=execution.database.schedule_id,
             )
             self.last_report = make_report(
                 result=result, execution=execution
@@ -324,6 +338,7 @@ class AbstractForkJoinChecker(ScoredTestCase):
             max_score=self.max_score,
             outcomes=report_lines,
             failure_kind=execution.failure_kind.value,
+            schedule=execution.database.schedule_id,
         )
         self.last_report = make_report(
             result=result, execution=execution, trace=trace

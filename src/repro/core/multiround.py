@@ -328,6 +328,7 @@ class AbstractMultiRoundForkJoinChecker(AbstractForkJoinChecker):
             max_score=self.max_score,
             outcomes=lines,
             failure_kind=execution.failure_kind.value,
+            schedule=execution.database.schedule_id,
         )
         self.last_report = make_report(result=result, execution=execution)
         return result

@@ -18,18 +18,38 @@ SubprocessRunner` relies on:
   ``set_hide_redirected_prints``) and nothing at all is written;
 * program exceptions exit with status 70 after writing the exception to
   stderr, so the parent reports them the way the in-process runner
-  reports a captured exception.
+  reports a captured exception;
+* ``--schedule=<json>`` before the identifier runs the program under a
+  controlled schedule: the JSON is a strategy ``spec()``
+  (:func:`repro.execution.scheduling.strategy_from_spec`), the program
+  runs on a root thread under a
+  :class:`~repro.execution.scheduling.ScheduledBackend`, every emitted
+  stdout line is a yield point (where the in-process trace session
+  yields), and one ``@repro-schedule <json>`` stderr record before any
+  traceback reports ``{"trace": <wire trace>, "stalled": bool}``
+  (:meth:`~repro.execution.scheduling.ScheduleTrace.to_wire`).  A
+  stalled run is not rerun here: the parent reruns it on free threads.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
+import threading
 import traceback
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.tracing.print_property import standalone_thread_id
 
 #: Property name of the root-identification marker line.
 ROOT_MARKER = "__root__"
+
+#: Command-line prefix carrying the controlled schedule's strategy spec.
+SCHEDULE_OPTION = "--schedule="
+
+#: stderr record of a controlled run: ``@repro-schedule <json>``.
+SCHEDULE_RECORD_PREFIX = "@repro-schedule "
 
 
 #: stderr side-channel record: ``@repro-line <stdout line index> <tid>``.
@@ -53,30 +73,38 @@ class _LineAtomicStdout:
     """
 
     def __init__(self, real, err) -> None:
-        import threading
-
         self._real = real
         self._err = err
         self._buffers = threading.local()
         self._lock = threading.Lock()
         self._line_index = 0
+        #: Called after every emitted line when the program runs under
+        #: a controlled schedule: the line is the yield point.
+        self.yield_hook: Optional[Callable[[], None]] = None
 
     def write(self, text: str) -> int:
-        from repro.tracing.print_property import standalone_thread_id
-
-        buffer = getattr(self._buffers, "value", "") + text
+        buffers = self._buffers
+        buffer = getattr(buffers, "value", "") + text
+        if "\n" not in text:
+            # ``print`` writes its text and its newline separately.
+            buffers.value = buffer
+            return len(text)
+        tid = standalone_thread_id()
+        hook = self.yield_hook
         while True:
             newline = buffer.find("\n")
             if newline < 0:
                 break
             line, buffer = buffer[: newline + 1], buffer[newline + 1 :]
-            tid = standalone_thread_id()
             with self._lock:
                 index = self._line_index
                 self._line_index += 1
                 self._real.write(line)
                 self._err.write(f"{LINE_ANNOTATION_PREFIX}{index} {tid}\n")
-        self._buffers.value = buffer
+            if hook is not None:
+                buffers.value = buffer
+                hook()
+        buffers.value = buffer
         return len(text)
 
     def flush(self) -> None:
@@ -96,16 +124,74 @@ PROGRAM_ERROR_EXIT = 70
 UNKNOWN_MAIN_EXIT = 71
 
 
+def run_program(
+    program: Callable[[List[str]], None],
+    args: List[str],
+    wrapper: _LineAtomicStdout,
+    schedule: Optional[Dict[str, Any]] = None,
+) -> Tuple[str, Optional[Dict[str, Any]]]:
+    """Run *program* with its output on *wrapper*: the child's one run.
+
+    The infrastructure's root marker is printed from the thread that
+    runs ``main``, first, so the root takes the first trace id.
+    Returns the traceback text of an exception escaping ``main`` (empty
+    when it returned) and, when *schedule* (a strategy ``spec()``) was
+    given, the controlled run's record ``{"trace", "stalled"}``.  A
+    controlled run has no time limit here: the parent process enforces
+    it by killing the child.
+    """
+    from repro.tracing.print_property import print_property
+
+    failure: List[str] = []
+
+    def root_body() -> None:
+        print_property(ROOT_MARKER, os.getpid())
+        try:
+            program(list(args))
+        except BaseException:  # noqa: BLE001 - serialized to the parent
+            failure.append(traceback.format_exc())
+        wrapper.close_buffers()
+
+    if schedule is None:
+        root_body()
+        return "".join(failure), None
+
+    from repro.execution.scheduling import ScheduledBackend, strategy_from_spec
+    from repro.simulation.backend import use_backend
+
+    backend = ScheduledBackend(strategy_from_spec(schedule))
+    wrapper.yield_hook = backend.trace_yield
+    root = threading.Thread(target=root_body, name="root", daemon=True)
+    try:
+        with use_backend(backend):
+            root.start()
+            outcome = backend.await_root(root, None)
+    finally:
+        wrapper.yield_hook = None
+    record = {
+        "trace": backend.schedule_trace().to_wire(),
+        "stalled": outcome == "stalled",
+    }
+    return "".join(failure), record
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    schedule: Optional[Dict[str, Any]] = None
+    if argv and argv[0].startswith(SCHEDULE_OPTION):
+        schedule = json.loads(argv.pop(0)[len(SCHEDULE_OPTION) :])
     if not argv:
-        print("usage: python -m repro.execution.child <identifier> [args...]", file=sys.stderr)
+        print(
+            "usage: python -m repro.execution.child [--schedule=<json>] "
+            "<identifier> [args...]",
+            file=sys.stderr,
+        )
         return 2
     identifier, args = argv[0], argv[1:]
 
     import repro.workloads  # noqa: F401 - register the built-in programs
     from repro.execution.registry import UnknownMainError, resolve_main
-    from repro.tracing.print_property import print_property, set_standalone_hidden
+    from repro.tracing.print_property import set_standalone_hidden
 
     hidden = os.environ.get("REPRO_HIDE_PRINTS") == "1"
     set_standalone_hidden(hidden)
@@ -118,19 +204,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(str(exc), file=sys.stderr)
         return UNKNOWN_MAIN_EXIT
 
-    # Register the root thread as the first trace id and tell the parent
-    # which id that is (suppressed entirely when hidden).
-    print_property(ROOT_MARKER, os.getpid())
-
-    try:
-        program(args)
-    except BaseException:  # noqa: BLE001 - serialized to the parent
-        wrapper.close_buffers()
-        wrapper.flush()
-        traceback.print_exc()
-        return PROGRAM_ERROR_EXIT
-    wrapper.close_buffers()
+    failure, record = run_program(program, args, wrapper, schedule)
     wrapper.flush()
+    if record is not None:
+        sys.stderr.write(SCHEDULE_RECORD_PREFIX + json.dumps(record) + "\n")
+    if failure:
+        sys.stderr.write(failure)
+        return PROGRAM_ERROR_EXIT
     return 0
 
 

@@ -21,6 +21,14 @@ many bytes of UTF-8 JSON):
   block — the run then executes under a per-request ``pool.serve`` span
   in a fresh registry, and the response gains an ``obs`` payload (spans
   plus metrics) for the parent to adopt into its own trace;
+* a request may carry a ``"schedule"`` block, a strategy ``spec()``
+  (:func:`repro.execution.scheduling.strategy_from_spec`) — the program
+  then runs under that controlled schedule, yielding once per emitted
+  stdout line, and the response gains
+  ``"schedule": {"trace": <wire trace>, "stalled": bool}``, the trace in
+  the compact form of
+  :meth:`~repro.execution.scheduling.ScheduleTrace.to_wire` (one
+  ``[point, chosen, ready(, lock)]`` array per decision);
 * ``{"op": "exit"}`` ends the serve loop (exit status 0).
 
 The response mimics a cold child run byte-for-byte: ``stdout`` is the
@@ -49,7 +57,6 @@ import os
 import struct
 import sys
 import time
-import traceback
 from typing import Any, BinaryIO, Dict, Optional
 
 #: Frame header: 4-byte big-endian payload length.
@@ -94,17 +101,21 @@ def read_frame(stream: BinaryIO) -> Optional[Dict[str, Any]]:
     return json.loads(body.decode("utf-8"))
 
 
-def _serve_one(identifier: str, args: list, hide_prints: bool) -> Dict[str, Any]:
+def _serve_one(
+    identifier: str,
+    args: list,
+    hide_prints: bool,
+    schedule: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
     """Run one submission with captured output; the cold child in a box."""
     from repro.execution.child import (
         PROGRAM_ERROR_EXIT,
-        ROOT_MARKER,
         UNKNOWN_MAIN_EXIT,
         _LineAtomicStdout,
+        run_program,
     )
     from repro.execution.registry import UnknownMainError, resolve_main
     from repro.tracing.print_property import (
-        print_property,
         reset_standalone_state,
         set_standalone_hidden,
     )
@@ -122,6 +133,7 @@ def _serve_one(identifier: str, args: list, hide_prints: bool) -> Dict[str, Any]
     sys.stdin = io.StringIO()  # type: ignore[assignment]
     started = time.perf_counter()
     returncode = 0
+    record: Optional[Dict[str, Any]] = None
     try:
         try:
             program = resolve_main(identifier)
@@ -131,25 +143,24 @@ def _serve_one(identifier: str, args: list, hide_prints: bool) -> Dict[str, Any]
         else:
             # Same marker contract as the cold child: printed by the
             # infrastructure from the root thread, suppressed when hidden.
-            print_property(ROOT_MARKER, os.getpid())
-            try:
-                program(list(args))
-            except BaseException:  # noqa: BLE001 - serialized to the parent
-                wrapper.close_buffers()
-                traceback.print_exc(file=err_buffer)
+            failure, record = run_program(program, args, wrapper, schedule)
+            if failure:
+                err_buffer.write(failure)
                 returncode = PROGRAM_ERROR_EXIT
-        wrapper.close_buffers()
         wrapper.flush()
     finally:
         sys.stdout, sys.stderr, sys.stdin = old_stdout, old_stderr, old_stdin
         reset_standalone_state()
     duration = time.perf_counter() - started
-    return {
+    response: Dict[str, Any] = {
         "returncode": returncode,
         "stdout": out_buffer.getvalue(),
         "stderr": err_buffer.getvalue(),
         "duration": duration,
     }
+    if record is not None:
+        response["schedule"] = record
+    return response
 
 
 def _serve_request(request: Dict[str, Any]) -> Dict[str, Any]:
@@ -163,9 +174,10 @@ def _serve_request(request: Dict[str, Any]) -> Dict[str, Any]:
     identifier = str(request.get("identifier", ""))
     args = list(request.get("args", ()))
     hide_prints = bool(request.get("hide_prints", False))
+    schedule = request.get("schedule")
     obs_cfg = request.get("obs")
     if not (isinstance(obs_cfg, dict) and obs_cfg.get("enabled")):
-        return _serve_one(identifier, args, hide_prints)
+        return _serve_one(identifier, args, hide_prints, schedule)
 
     from repro.obs.context import TraceContext
     from repro.obs.export import registry_payload
@@ -181,7 +193,7 @@ def _serve_request(request: Dict[str, Any]) -> Dict[str, Any]:
             "pool.serve", identifier=identifier, pid=os.getpid()
         )
         try:
-            response = _serve_one(identifier, args, hide_prints)
+            response = _serve_one(identifier, args, hide_prints, schedule)
         finally:
             registry.end_span(span)
     response["obs"] = registry_payload(registry, context=context)

@@ -20,7 +20,7 @@ import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.eventdb.database import EventDatabase
 from repro.eventdb.events import PropertyEvent
@@ -29,12 +29,13 @@ from repro.obs import get_registry as _obs_registry
 from repro.tracing.session import TraceSession
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.execution.scheduling import ScheduleTrace
+    from repro.execution.scheduling import ScheduledBackend, ScheduleTrace
 
 __all__ = [
     "ExecutionResult",
     "ProgramRunner",
     "DEFAULT_TIMEOUT",
+    "follow_schedule",
     "in_process_session_lock",
 ]
 
@@ -91,6 +92,9 @@ class ExecutionResult:
     schedule: Optional["ScheduleTrace"] = None
     #: Seed of the controlled schedule's strategy, when it had one.
     schedule_seed: Optional[int] = None
+    #: Why a run asked to follow a controlled schedule carries none:
+    #: it stalled outside the scheduler and was rerun on free threads.
+    schedule_note: str = ""
 
     @property
     def ok(self) -> bool:
@@ -137,6 +141,54 @@ class ExecutionResult:
         return [e for e in self.events if e.thread is root]
 
 
+def follow_schedule(
+    schedule: Optional[Any],
+    limit: float,
+    run_once: Callable[
+        [Optional["ScheduledBackend"], float], Tuple[ExecutionResult, str]
+    ],
+) -> ExecutionResult:
+    """Run a tested program once on the schedule it should follow.
+
+    The choice both runners share.  A backend the calling thread
+    installed with :func:`~repro.simulation.backend.use_backend` wins
+    over *schedule*: an installed
+    :class:`~repro.execution.scheduling.ScheduledBackend` is followed,
+    any other installed backend (a simulation policy,
+    ``ThreadingBackend()``) keeps the run off the scheduler.  Otherwise
+    *schedule* — a seed, a recorded trace, a strategy or a backend — is
+    followed, and ``None`` runs on free threads.
+
+    ``run_once(controlled, limit)`` runs the program once under
+    *controlled* (``None``: off the scheduler) within *limit* seconds;
+    it returns the result and, if the controlled run stalled outside
+    the scheduler, why.  A stalled run is rerun once off the scheduler
+    within the rest of *limit*: that result carries no schedule, the
+    time of both runs, and the reason in ``schedule_note``.
+    """
+    from repro.execution.scheduling import ScheduledBackend, resolve_schedule_strategy
+    from repro.simulation.backend import installed_backend
+
+    installed = installed_backend()
+    controlled: Optional[ScheduledBackend]
+    if installed is not None:
+        controlled = installed if isinstance(installed, ScheduledBackend) else None
+    elif schedule is None or isinstance(schedule, ScheduledBackend):
+        controlled = schedule
+    else:
+        controlled = ScheduledBackend(resolve_schedule_strategy(schedule))
+    result, stall = run_once(controlled, limit)
+    if not stall:
+        return result
+    rerun, _ = run_once(None, max(0.0, limit - result.duration))
+    rerun.duration += result.duration
+    rerun.schedule_note = (
+        f"controlled schedule {controlled.schedule_id()} {stall}; "
+        f"rerun on free threads"
+    )
+    return rerun
+
+
 class ProgramRunner:
     """Run registered tested programs under trace sessions."""
 
@@ -177,19 +229,28 @@ class ProgramRunner:
         installed as the ambient concurrency backend for the run, every
         intercepted print becomes a yield point, and the recorded
         interleaving is attached to the result as ``result.schedule``.
-        If a ``ScheduledBackend`` is already ambient (an explorer
-        installed one around a whole checker), it is picked up and wired
-        the same way without passing ``schedule=``.
+        A backend the calling thread installed with
+        :func:`~repro.simulation.backend.use_backend` wins over
+        ``schedule=``: an installed ``ScheduledBackend`` (an explorer's,
+        around a whole checker) is picked up and wired the same way, and
+        any other installed backend runs the program off the scheduler.
+        A controlled run that stalls outside the scheduler is rerun once
+        on free threads (:func:`follow_schedule`).
         """
         obs = _obs_registry()
+        limit = self.timeout if timeout is None else timeout
         with obs.span("runner.run", identifier=identifier) as span:
-            result = self._run_traced(
-                identifier,
-                args,
-                hide_prints=hide_prints,
-                timeout=timeout,
-                stdin_lines=stdin_lines,
-                schedule=schedule,
+            result = follow_schedule(
+                schedule,
+                limit,
+                lambda controlled, budget: self._run_traced(
+                    identifier,
+                    args,
+                    hide_prints=hide_prints,
+                    limit=budget,
+                    stdin_lines=stdin_lines,
+                    controlled=controlled,
+                ),
             )
             span.set(
                 events=len(result.events),
@@ -197,6 +258,7 @@ class ProgramRunner:
                 schedule=(
                     result.schedule.label() if result.schedule is not None else None
                 ),
+                schedule_note=result.schedule_note or None,
             )
         obs.histogram("runner.run.seconds").observe(result.duration)
         if result.timed_out:
@@ -206,24 +268,27 @@ class ProgramRunner:
     def _run_traced(
         self,
         identifier: str,
-        args: Optional[List[str]] = None,
+        args: Optional[List[str]],
         *,
-        hide_prints: bool = False,
-        timeout: Optional[float] = None,
-        stdin_lines: Optional[List[str]] = None,
-        schedule: Optional[Any] = None,
-    ) -> ExecutionResult:
-        """The uninstrumented body of :meth:`run`."""
+        hide_prints: bool,
+        limit: float,
+        stdin_lines: Optional[List[str]],
+        controlled: Optional["ScheduledBackend"],
+    ) -> Tuple[ExecutionResult, str]:
+        """One run of :meth:`run`, under *controlled* or off the scheduler.
+
+        Returns the result and, when the controlled run stalled, why.
+        """
         from repro.execution.stdin_feed import StdinFeed
-        from repro.execution.scheduling import (
-            ScheduledBackend,
-            resolve_schedule_strategy,
+        from repro.execution.scheduling import ScheduledBackend
+        from repro.simulation.backend import (
+            ThreadingBackend,
+            current_backend,
+            use_backend,
         )
-        from repro.simulation.backend import current_backend, use_backend
 
         main = resolve_main(identifier)
         args = list(args) if args is not None else []
-        limit = self.timeout if timeout is None else timeout
 
         session = TraceSession(hidden=hide_prints, echo=self.echo)
         feed = StdinFeed(stdin_lines) if stdin_lines is not None else None
@@ -238,43 +303,34 @@ class ProgramRunner:
         root = threading.Thread(target=root_body, name=f"root:{identifier}")
         started = time.perf_counter()
         with _SESSION_LOCK:
-            controlled: Optional[ScheduledBackend] = None
-            install_backend = False
-            if schedule is not None:
-                if isinstance(schedule, ScheduledBackend):
-                    controlled = schedule
-                else:
-                    controlled = ScheduledBackend(resolve_schedule_strategy(schedule))
-                install_backend = True
-            else:
-                ambient = current_backend()
-                if isinstance(ambient, ScheduledBackend):
-                    controlled = ambient
+            backend = controlled
             if controlled is not None:
                 session.yield_hook = controlled.trace_yield
                 session.database.schedule_id = controlled.schedule_id()
+            elif isinstance(current_backend(), ScheduledBackend):
+                # The free rerun of a run that stalled under the
+                # caller's schedule.
+                backend = ThreadingBackend()
             if feed is not None:
                 feed.install()
             try:
                 with contextlib.ExitStack() as stack:
-                    if install_backend:
-                        stack.enter_context(use_backend(controlled))
+                    if backend is not None:
+                        stack.enter_context(use_backend(backend))
                     stack.enter_context(session.activate())
                     # Register the root thread first so it receives the
                     # lowest id, as in the paper's traces where the root
                     # prints first.
                     root_id = session.registry.id_for(root)
                     root.start()
-                    root.join(limit)
-                    timed_out = root.is_alive()
-                    if controlled is not None:
-                        if timed_out:
-                            # Unwind gated workers (deadlock or divergence
-                            # left them parked) so the session teardown is
-                            # not racing live prints.
-                            controlled.abort()
-                        else:
-                            controlled.finish()
+                    if controlled is None:
+                        root.join(limit)
+                        outcome = "timed-out" if root.is_alive() else "done"
+                    else:
+                        # Unwinds gated workers on a timeout or a stall,
+                        # so the session teardown is not racing live
+                        # prints.
+                        outcome = controlled.await_root(root, limit)
             finally:
                 if feed is not None:
                     feed.uninstall()
@@ -286,7 +342,7 @@ class ProgramRunner:
             if event.thread is not root and event.thread not in workers:
                 workers.append(event.thread)
 
-        return ExecutionResult(
+        result = ExecutionResult(
             identifier=identifier,
             args=args,
             output=session.output(),
@@ -296,7 +352,7 @@ class ProgramRunner:
             root_thread_id=root_id,
             duration=duration,
             exception=holder["exception"],
-            timed_out=timed_out,
+            timed_out=outcome == "timed-out",
             hidden=hide_prints,
             worker_threads=workers,
             schedule=(
@@ -306,6 +362,8 @@ class ProgramRunner:
             ),
             schedule_seed=controlled.seed if controlled is not None else None,
         )
+        stall = controlled.scheduler.divergence if outcome == "stalled" else ""
+        return result, stall
 
     def run_callable(
         self,

@@ -50,7 +50,16 @@ Three strategy families ship here:
 Strategies expose ``clone()`` returning a pristine instance with the
 same configuration: the equivalence oracle consumes a clone's internal
 state (RNG draws, quantum counters) in offline simulation exactly as a
-live run would, leaving the original untouched.
+live run would, leaving the original untouched.  ``spec()`` is the same
+configuration as plain JSON, which :func:`strategy_from_spec` rebuilds:
+that is how a schedule reaches a child process that runs the program.
+
+A controlled run whose granted worker blocks *outside* the scheduler
+(say, on a raw ``threading.Lock`` a parked worker holds) can never
+reach its next yield point.  :meth:`ScheduledBackend.await_root` calls
+such a run stalled after :data:`STALL_SECONDS` in which it recorded no
+decision and the granted worker's thread used no CPU, aborts it and
+lets the unwound workers finish.
 
 Only worker threads participate; the root thread runs free (it is
 blocked in ``join`` for the whole fork phase of a correct program) and
@@ -62,14 +71,26 @@ from __future__ import annotations
 import json
 import random
 import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Protocol, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    Union,
+)
 
 from repro.util.handoff import Handoff
 
 __all__ = [
     "SCHEDULE_FORMAT_VERSION",
+    "STALL_SECONDS",
     "ScheduleAbort",
     "ScheduleDivergenceError",
     "ScheduleStrategy",
@@ -85,10 +106,20 @@ __all__ = [
     "InstrumentedLock",
     "ScheduledBackend",
     "resolve_schedule_strategy",
+    "strategy_from_spec",
 ]
 
 #: Version stamp written into serialized schedule files.
 SCHEDULE_FORMAT_VERSION = 1
+
+#: Seconds a controlled run may go without a new decision while the
+#: worker holding the grant uses no CPU, before
+#: :meth:`ScheduledBackend.await_root` calls it stalled.  A worker that
+#: computes between yield points is not stalled, however long it takes.
+STALL_SECONDS = 1.0
+
+#: How often :meth:`ScheduledBackend.await_root` looks for a stall.
+_STALL_POLL = 0.1
 
 
 class ScheduleAbort(Exception):
@@ -149,6 +180,9 @@ class RandomWalkStrategy:
     def clone(self) -> "RandomWalkStrategy":
         return RandomWalkStrategy(self.seed)
 
+    def spec(self) -> Dict[str, Any]:
+        return {"name": self.name, "seed": self.seed}
+
 
 class BoundedPreemptionStrategy:
     """Round-robin with a fixed quantum and starting rotation.
@@ -190,6 +224,9 @@ class BoundedPreemptionStrategy:
         return BoundedPreemptionStrategy(
             quantum=self.quantum, rotation=self.rotation
         )
+
+    def spec(self) -> Dict[str, Any]:
+        return {"name": self.name, "quantum": self.quantum, "rotation": self.rotation}
 
 
 def bounded_preemption_sweep(
@@ -276,6 +313,14 @@ class PCTStrategy:
             self.seed, depth=self.depth, expected_length=self.expected_length
         )
 
+    def spec(self) -> Dict[str, Any]:
+        return {
+            "name": self.name,
+            "seed": self.seed,
+            "depth": self.depth,
+            "expected_length": self.expected_length,
+        }
+
 
 class ExhaustiveStrategy:
     """A forced decision prefix, then a non-preemptive continuation.
@@ -320,6 +365,9 @@ class ExhaustiveStrategy:
     def clone(self) -> "ExhaustiveStrategy":
         return ExhaustiveStrategy(self.prefix)
 
+    def spec(self) -> Dict[str, Any]:
+        return {"name": self.name, "prefix": list(self.prefix)}
+
 
 class ReplayStrategy:
     """Replay a recorded schedule exactly, validating every decision."""
@@ -354,6 +402,9 @@ class ReplayStrategy:
     def clone(self) -> "ReplayStrategy":
         return ReplayStrategy(self.trace)
 
+    def spec(self) -> Dict[str, Any]:
+        return {"name": self.name, "trace": self.trace.to_wire()}
+
 
 def resolve_schedule_strategy(
     spec: Union[int, "ScheduleTrace", ScheduleStrategy]
@@ -373,6 +424,28 @@ def resolve_schedule_strategy(
         f"schedule must be a seed, a ScheduleTrace, or a strategy; got "
         f"{type(spec).__name__}"
     )
+
+
+def strategy_from_spec(spec: Dict[str, Any]) -> ScheduleStrategy:
+    """Rebuild a pristine strategy from its ``spec()`` dict."""
+    name = spec.get("name")
+    if name == RandomWalkStrategy.name:
+        return RandomWalkStrategy(int(spec["seed"]))
+    if name == BoundedPreemptionStrategy.name:
+        return BoundedPreemptionStrategy(
+            int(spec["quantum"]), int(spec["rotation"])
+        )
+    if name == PCTStrategy.name:
+        return PCTStrategy(
+            int(spec["seed"]),
+            depth=int(spec["depth"]),
+            expected_length=int(spec["expected_length"]),
+        )
+    if name == ExhaustiveStrategy.name:
+        return ExhaustiveStrategy([int(k) for k in spec["prefix"]])
+    if name == ReplayStrategy.name:
+        return ReplayStrategy(ScheduleTrace.from_wire(spec["trace"]))
+    raise ValueError(f"unknown schedule strategy spec {spec!r}")
 
 
 # ----------------------------------------------------------------------
@@ -474,6 +547,57 @@ class ScheduleTrace:
             version=version,
         )
 
+    def to_wire(self) -> Dict[str, Any]:
+        """The compact form a child process sends its parent.
+
+        Each decision is one ``[point, chosen, ready]`` array, with the
+        lock id appended for lock-flavoured points; the step is the
+        array's index.  The program's identifier and arguments stay
+        behind: the parent knows them.
+        """
+        return {
+            "strategy": self.strategy,
+            "seed": self.seed,
+            "workers": {str(k): v for k, v in self.workers.items()},
+            "deadlocked": self.deadlocked,
+            "divergence": self.divergence,
+            "decisions": [
+                [d.point, d.chosen, d.ready]
+                if d.lock is None
+                else [d.point, d.chosen, d.ready, d.lock]
+                for d in self.decisions
+            ],
+        }
+
+    @classmethod
+    def from_wire(
+        cls,
+        data: Dict[str, Any],
+        identifier: str = "",
+        args: Optional[List[str]] = None,
+    ) -> "ScheduleTrace":
+        """Rebuild a trace from :meth:`to_wire` output."""
+        seed = data.get("seed")
+        return cls(
+            identifier=identifier,
+            args=list(args) if args else [],
+            strategy=str(data.get("strategy", "")),
+            seed=None if seed is None else int(seed),
+            workers={int(k): str(v) for k, v in data.get("workers", {}).items()},
+            decisions=[
+                ScheduleDecision(
+                    step,
+                    entry[0],
+                    entry[2],
+                    entry[1],
+                    entry[3] if len(entry) > 3 else None,
+                )
+                for step, entry in enumerate(data.get("decisions", ()))
+            ],
+            deadlocked=bool(data.get("deadlocked", False)),
+            divergence=str(data.get("divergence", "")),
+        )
+
     def save(self, path: Union[Path, str]) -> Path:
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -489,11 +613,21 @@ class ScheduleTrace:
 # The scheduler
 # ----------------------------------------------------------------------
 class _WorkerState:
-    __slots__ = ("key", "blocked_on")
+    __slots__ = ("key", "thread", "blocked_on")
 
-    def __init__(self, key: int) -> None:
+    def __init__(self, key: int, thread: int) -> None:
         self.key = key
+        #: ``threading.get_ident()`` of the worker's thread.
+        self.thread = thread
         self.blocked_on: Optional["InstrumentedLock"] = None
+
+
+def _thread_cpu_seconds(thread: int) -> float:
+    """CPU time a live thread has used (0.0 where the OS cannot say)."""
+    try:
+        return time.clock_gettime(time.pthread_getcpuclockid(thread))
+    except (AttributeError, OSError):
+        return 0.0
 
 
 class ControlledScheduler:
@@ -516,6 +650,10 @@ class ControlledScheduler:
         self._enrollment = threading.Condition(self._lock)
         self._handoff = Handoff(self._lock)
         self._states: Dict[int, _WorkerState] = {}
+        #: Sorted keys of the unblocked workers, recomputed only after a
+        #: worker enrolls, retires, blocks or is unblocked.  Decisions
+        #: share the list, so it is replaced, never mutated.
+        self._ready_keys: Optional[List[int]] = None
         self._by_thread: Dict[int, int] = {}
         self._total_enrolled = 0
         self._granted: Optional[int] = None
@@ -563,6 +701,43 @@ class ControlledScheduler:
         with self._lock:
             return len(self._states)
 
+    def progress(self) -> Tuple[int, Optional[int], float]:
+        """(decisions recorded so far, worker holding the grant or
+        ``None``, CPU seconds that worker's thread has used).
+
+        The clock is read under the lock: the granted worker cannot
+        retire meanwhile, so its thread is alive.
+        """
+        with self._lock:
+            state = self._states.get(self._granted)
+            cpu = _thread_cpu_seconds(state.thread) if state is not None else 0.0
+            return self._step, self._granted, cpu
+
+    def stall(self) -> None:
+        """Abort a run whose granted worker stopped reaching yield points.
+
+        The reason lands in :attr:`divergence`: the run no longer
+        follows its strategy, so it is neither a replayable recording
+        nor a seed for happens-before dedup.
+        """
+        with self._lock:
+            granted = self.workers.get(self._granted, self._granted)
+            self.divergence = (
+                f"stalled after {self._step} decisions: {granted} held the "
+                f"grant for {STALL_SECONDS:g} s without reaching a yield "
+                f"point or using CPU (blocked outside the scheduler, e.g. "
+                f"on a raw threading lock)"
+            )
+            self._abort()
+
+    def adopt(self, trace: "ScheduleTrace") -> None:
+        """Take over the decisions of a run recorded in another process."""
+        with self._lock:
+            self.workers = dict(trace.workers)
+            self.decisions = list(trace.decisions)
+            self.deadlocked = trace.deadlocked
+            self.divergence = trace.divergence
+
     # -- worker side ----------------------------------------------------
     def enroll(self, key: int) -> None:
         me = threading.get_ident()
@@ -570,7 +745,8 @@ class ControlledScheduler:
             self._check_abort()
             if key in self._states:
                 raise RuntimeError(f"worker key {key} enrolled twice")
-            self._states[key] = _WorkerState(key)
+            self._states[key] = _WorkerState(key, me)
+            self._ready_keys = None
             self._by_thread[me] = key
             self._total_enrolled += 1
             self._handoff.add(key)
@@ -597,6 +773,7 @@ class ControlledScheduler:
             if key is None:
                 return
             self._states.pop(key, None)
+            self._ready_keys = None
             self._handoff.discard(key)
             if self._started and not self._aborted:
                 self._grant_next(current=key, point="retire")
@@ -621,6 +798,7 @@ class ControlledScheduler:
                 self._yield(key, "lock-acquire", lock.lock_id)
             while not lock.raw.acquire(blocking=False):
                 state.blocked_on = lock
+                self._ready_keys = None
                 self._grant_next(current=key, point="block", lock=lock.lock_id)
                 self._handoff.park_until(
                     key,
@@ -668,6 +846,7 @@ class ControlledScheduler:
             for state in self._states.values():
                 if state.blocked_on is lock:
                     state.blocked_on = None
+                    self._ready_keys = None
                     woken = True
             if self._aborted:
                 return
@@ -715,9 +894,11 @@ class ControlledScheduler:
         self._check_abort()
 
     def _ready(self) -> List[int]:
-        return sorted(
-            key for key, state in self._states.items() if state.blocked_on is None
-        )
+        if self._ready_keys is None:
+            self._ready_keys = sorted(
+                [key for key, state in self._states.items() if state.blocked_on is None]
+            )
+        return self._ready_keys
 
     def _grant_next(
         self,
@@ -759,15 +940,7 @@ class ControlledScheduler:
                 f"strategy {self.strategy.label()} chose worker {chosen} "
                 f"outside ready set {ready}"
             )
-        self.decisions.append(
-            ScheduleDecision(
-                step=self._step,
-                point=point,
-                ready=ready,
-                chosen=chosen,
-                lock=lock,
-            )
-        )
+        self.decisions.append(ScheduleDecision(self._step, point, ready, chosen, lock))
         self._step += 1
         self._granted = chosen
         if chosen != current:
@@ -909,6 +1082,59 @@ class ScheduledBackend:
         program that returned from ``main`` without joining)."""
         if self.scheduler.live_workers():
             self.scheduler.abort()
+
+    def await_root(self, root: threading.Thread, limit: Optional[float]) -> str:
+        """Wait for the program's root thread: ``"done"``, ``"stalled"``
+        or ``"timed-out"``.
+
+        *limit* bounds the whole wait in seconds; ``None`` leaves the
+        bound to the caller (a child process, whose parent kills it).
+        A run is stalled when, for :data:`STALL_SECONDS`, it recorded
+        no decision and the worker holding the grant used no CPU: that
+        worker is blocked outside the scheduler and will never yield.
+        A stalled run is aborted and its root awaited for the rest of
+        *limit*, so the unwound workers finish printing before the
+        caller closes its trace session.
+        """
+        deadline = None if limit is None else time.monotonic() + limit
+        scheduler = self.scheduler
+        seen = scheduler.progress()
+        since = time.monotonic()
+        stalled = False
+        while root.is_alive():
+            wait = _STALL_POLL
+            if deadline is not None:
+                wait = min(wait, deadline - time.monotonic())
+                if wait <= 0:
+                    break
+            root.join(wait)
+            if stalled or not root.is_alive():
+                continue
+            progress = scheduler.progress()
+            now = time.monotonic()
+            if progress != seen or progress[1] is None:
+                seen, since = progress, now
+            elif now - since >= STALL_SECONDS:
+                scheduler.stall()
+                stalled = True
+        if root.is_alive():
+            self.abort()
+            return "timed-out"
+        if stalled:
+            return "stalled"
+        self.finish()
+        return "done"
+
+    def load_trace(self, trace: ScheduleTrace) -> None:
+        """Record a run another process made under this backend's
+        strategy, as if this backend had hosted it.
+
+        A trace without decisions changes nothing, so a run that never
+        reached the scheduler (a hidden performance run in the same
+        suite) cannot erase the functionality run's recording.
+        """
+        if trace.decisions:
+            self.scheduler.adopt(trace)
 
     @property
     def seed(self) -> Optional[int]:

@@ -24,12 +24,13 @@ Differences from the in-process regime, by construction:
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.eventdb.database import EventDatabase
 from repro.eventdb.events import PropertyEvent
@@ -37,14 +38,20 @@ from repro.execution.child import (
     LINE_ANNOTATION_PREFIX,
     PROGRAM_ERROR_EXIT,
     ROOT_MARKER,
+    SCHEDULE_OPTION,
+    SCHEDULE_RECORD_PREFIX,
     UNKNOWN_MAIN_EXIT,
 )
 from repro.execution.registry import UnknownMainError
-from repro.execution.runner import DEFAULT_TIMEOUT, ExecutionResult
+from repro.execution.runner import DEFAULT_TIMEOUT, ExecutionResult, follow_schedule
 from repro.execution.taxonomy import detect_garbled_lines
+from repro.execution.worker_pool import PoolResult
 from repro.obs import get_registry as _obs_registry
 from repro.tracing.formatting import parse_property_line
 from repro.util.thread_registry import ThreadRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.execution.scheduling import ScheduledBackend
 
 __all__ = [
     "SubprocessRunner",
@@ -150,7 +157,8 @@ class SubprocessRunner:
     """Drop-in alternative to :class:`~repro.execution.runner.ProgramRunner`.
 
     Duck-types the runner interface the checkers use:
-    ``run(identifier, args, *, hide_prints=False, timeout=None)``.
+    ``run(identifier, args, *, hide_prints=False, timeout=None,
+    schedule=None)``.
     """
 
     def __init__(
@@ -190,48 +198,103 @@ class SubprocessRunner:
         *,
         hide_prints: bool = False,
         timeout: Optional[float] = None,
+        schedule: Optional[Any] = None,
     ) -> ExecutionResult:
         """Run *identifier* in a child interpreter and rebuild its trace.
 
         Mirrors :meth:`ProgramRunner.run`'s signature and result; the
-        trace is reconstructed from the child's output text.
+        trace is reconstructed from the child's output text.  The
+        schedule is chosen as in process
+        (:func:`~repro.execution.runner.follow_schedule`: a backend the
+        calling thread installed wins over ``schedule=``) and travels
+        to the child as a strategy ``spec()``.  The child's recorded
+        decisions come back as ``result.schedule`` and are loaded into
+        the controlling
+        :class:`~repro.execution.scheduling.ScheduledBackend`, so a
+        caller that installed one reads them exactly as after an
+        in-process run.
         """
         obs = _obs_registry()
-        body = self._run_pooled if self.pool is not None else self._run_child
+        args = list(args) if args is not None else []
         with obs.span(
             "runner.subprocess", identifier=identifier, pooled=self.pool is not None
         ) as span:
-            result = body(
-                identifier, args, hide_prints=hide_prints, timeout=timeout
+            result = follow_schedule(
+                schedule,
+                self.timeout if timeout is None else timeout,
+                lambda controlled, budget: self._run_once(
+                    identifier,
+                    args,
+                    hide_prints=hide_prints,
+                    limit=budget,
+                    controlled=controlled,
+                ),
             )
             span.set(
                 events=len(result.events),
                 timed_out=result.timed_out or None,
                 signal=result.signal_number,
+                schedule_note=result.schedule_note or None,
             )
         obs.histogram("runner.subprocess.seconds").observe(result.duration)
         if result.timed_out:
             obs.counter("runner.subprocess.timeouts").inc()
         return result
 
+    def _run_once(
+        self,
+        identifier: str,
+        args: List[str],
+        *,
+        hide_prints: bool,
+        limit: float,
+        controlled: Optional["ScheduledBackend"],
+    ) -> Tuple[ExecutionResult, str]:
+        """One child run under *controlled*, or off the scheduler.
+
+        Returns the rebuilt result and, when the controlled run stalled
+        in the child, why.
+        """
+        from repro.execution.scheduling import ScheduleTrace
+
+        run_child = self._run_pooled if self.pool is not None else self._run_child
+        outcome = run_child(
+            identifier,
+            args,
+            hide_prints=hide_prints,
+            limit=limit,
+            schedule=controlled.strategy.spec() if controlled is not None else None,
+        )
+        if controlled is None or outcome.schedule is None:
+            # Free-running, or the child died before reporting.
+            return self._reconstruct(identifier, args, outcome, hide_prints), ""
+        trace = ScheduleTrace.from_wire(outcome.schedule["trace"], identifier, args)
+        controlled.load_trace(trace)
+        result = self._reconstruct(
+            identifier,
+            args,
+            outcome,
+            hide_prints,
+            schedule_id=controlled.schedule_id(),
+        )
+        result.schedule = trace
+        result.schedule_seed = trace.seed
+        return result, trace.divergence if outcome.schedule.get("stalled") else ""
+
     def _run_child(
         self,
         identifier: str,
-        args: Optional[List[str]] = None,
+        args: List[str],
         *,
-        hide_prints: bool = False,
-        timeout: Optional[float] = None,
-    ) -> ExecutionResult:
-        """The uninstrumented body of :meth:`run`."""
-        args = list(args) if args is not None else []
-        limit = self.timeout if timeout is None else timeout
-        command = [
-            self.python,
-            "-m",
-            "repro.execution.child",
-            identifier,
-            *args,
-        ]
+        hide_prints: bool,
+        limit: float,
+        schedule: Optional[Dict[str, Any]] = None,
+    ) -> PoolResult:
+        """One cold child run; the same outcome a pooled dispatch gives."""
+        command = [self.python, "-m", "repro.execution.child"]
+        if schedule is not None:
+            command.append(SCHEDULE_OPTION + json.dumps(schedule))
+        command += [identifier, *args]
         env = self._env_by_hidden[bool(hide_prints)]
 
         started = time.perf_counter()
@@ -257,61 +320,41 @@ class SubprocessRunner:
         finally:
             _active_children.unregister()
         duration = time.perf_counter() - started
-        stdout = stdout or ""
         stderr = stderr or ""
         if state["harness_killed"]:
             # A supervisor watchdog ended this child for exceeding its
             # deadline: the cause is the timeout, not the kill signal.
             timed_out = True
-
-        exception, signal_number = self._classify(
-            identifier, returncode, stderr, timed_out
-        )
-
-        return self._reconstruct(
-            identifier=identifier,
-            args=args,
-            stdout=stdout,
+        record = None
+        if schedule is not None:
+            for line in stderr.splitlines():
+                if line.startswith(SCHEDULE_RECORD_PREFIX):
+                    record = json.loads(line[len(SCHEDULE_RECORD_PREFIX) :])
+        return PoolResult(
+            stdout=stdout or "",
             stderr=stderr,
-            duration=duration,
-            exception=exception,
+            returncode=returncode,
             timed_out=timed_out,
-            hidden=hide_prints,
-            signal_number=signal_number,
+            duration=duration,
+            schedule=record,
         )
 
     def _run_pooled(
         self,
         identifier: str,
-        args: Optional[List[str]] = None,
+        args: List[str],
         *,
-        hide_prints: bool = False,
-        timeout: Optional[float] = None,
-    ) -> ExecutionResult:
-        """The body of :meth:`run` when dispatching to a warm pool worker.
-
-        The pool's response carries the same stdout/stderr/returncode
-        contract as a cold child, so classification and reconstruction
-        are shared with :meth:`_run_child` verbatim.
-        """
-        args = list(args) if args is not None else []
-        limit = self.timeout if timeout is None else timeout
-        outcome = self.pool.dispatch(
-            identifier, args, hide_prints=hide_prints, timeout=limit
-        )
-        exception, signal_number = self._classify(
-            identifier, outcome.returncode, outcome.stderr, outcome.timed_out
-        )
-        return self._reconstruct(
-            identifier=identifier,
-            args=args,
-            stdout=outcome.stdout,
-            stderr=outcome.stderr,
-            duration=outcome.duration,
-            exception=exception,
-            timed_out=outcome.timed_out,
-            hidden=hide_prints,
-            signal_number=signal_number,
+        hide_prints: bool,
+        limit: float,
+        schedule: Optional[Dict[str, Any]] = None,
+    ) -> PoolResult:
+        """One run on a warm pool worker."""
+        return self.pool.dispatch(
+            identifier,
+            args,
+            hide_prints=hide_prints,
+            timeout=limit,
+            schedule=schedule,
         )
 
     @staticmethod
@@ -365,21 +408,27 @@ class SubprocessRunner:
     # ------------------------------------------------------------------
     def _reconstruct(
         self,
-        *,
         identifier: str,
         args: List[str],
-        stdout: str,
-        stderr: str = "",
-        duration: float,
-        exception: Optional[BaseException],
-        timed_out: bool,
+        outcome: PoolResult,
         hidden: bool,
-        signal_number: Optional[int] = None,
+        *,
+        schedule_id: str = "",
     ) -> ExecutionResult:
-        """Rebuild an ExecutionResult from the child's output text."""
-        attributions = self._line_attributions(stderr)
+        """Rebuild an ExecutionResult from the child's output text.
+
+        Classification and reconstruction are shared by the cold and
+        pooled paths: both outcomes carry the same stdout/stderr/
+        returncode contract.
+        """
+        exception, signal_number = self._classify(
+            identifier, outcome.returncode, outcome.stderr, outcome.timed_out
+        )
+        stdout = outcome.stdout
+        attributions = self._line_attributions(outcome.stderr)
         registry = ThreadRegistry()
         database = EventDatabase(registry)
+        database.schedule_id = schedule_id
         threads: Dict[int, threading.Thread] = {}
 
         def thread_for(printed_id: int) -> threading.Thread:
@@ -426,6 +475,7 @@ class SubprocessRunner:
                     explicit=parsed is not None,
                     timestamp=0.0,
                     thread_seq=thread_seq,
+                    schedule_id=schedule_id,
                 )
             )
             seq += 1
@@ -447,9 +497,9 @@ class SubprocessRunner:
             database=database,
             root_thread=root_thread,
             root_thread_id=root_printed_id,
-            duration=duration,
+            duration=outcome.duration,
             exception=exception,
-            timed_out=timed_out,
+            timed_out=outcome.timed_out,
             hidden=hidden,
             worker_threads=workers,
             signal_number=signal_number,

@@ -260,8 +260,9 @@ class GradingSupervisor:
         decides.  The first failing schedule becomes the grade of record
         with its seed attached (``SubmissionRecord.schedule_seed``) so
         the race replays on demand; if every explored schedule passes
-        the submission is exonerated as ``flaky-pass``.  Exploration
-        needs in-process runs, so it cannot be combined with ``pool``.
+        the submission is exonerated as ``flaky-pass``.  With ``pool``
+        (or any subprocess runner) the schedule travels to the child
+        that runs the program and its decisions come back.
     explore_seed:
         First seed of the exploration range (seeds
         ``explore_seed .. explore_seed + explore_schedules - 1``); fixed
@@ -289,9 +290,7 @@ class GradingSupervisor:
         the pooled runner registers its worker process in the same
         active-children table the cold path uses, and the pool respawns
         killed workers on check-in.  The pool's lifetime belongs to the
-        caller.  Raises ``ValueError`` together with
-        ``explore_schedules`` > 0: a pooled program runs outside the
-        controlled scheduler, so its schedules would explore nothing.
+        caller.
     race_detect:
         Run lockset/happens-before race analysis
         (:mod:`repro.execution.races`) over every controlled schedule
@@ -368,11 +367,6 @@ class GradingSupervisor:
             )
         self.explore_strategy = explore_strategy
         self.explore_depth = max(0, int(explore_depth))
-        if pool is not None and self.explore_schedules > 0:
-            raise ValueError(
-                "explore_schedules needs in-process runs: a pooled program "
-                "runs in a child process, outside the controlled scheduler"
-            )
         self.pool = pool
         self.on_outcome = on_outcome
         self.dedup = bool(dedup)

@@ -66,7 +66,9 @@ class PoolResult:
     ``python -m repro.execution.child`` run, so the caller can reuse the
     cold path's classification and trace reconstruction verbatim.
     ``timed_out`` is True when the deadline expired parent-side or the
-    watchdog hard-killed the worker mid-run.
+    watchdog hard-killed the worker mid-run.  ``schedule`` is the
+    controlled run's record ``{"trace", "stalled"}`` when the dispatch
+    asked for a schedule and the worker answered.
     """
 
     stdout: str
@@ -74,6 +76,7 @@ class PoolResult:
     returncode: int
     timed_out: bool
     duration: float
+    schedule: Optional[Dict[str, Any]] = None
 
 
 def pooled_child_env() -> Dict[str, str]:
@@ -266,13 +269,16 @@ class WorkerPool:
         *,
         hide_prints: bool = False,
         timeout: float = 30.0,
+        schedule: Optional[Dict[str, Any]] = None,
     ) -> PoolResult:
         """Run one submission on a warm worker and return its outcome.
 
         Blocks until a worker is idle.  The worker is registered with
         the active-children table for the duration, so the supervisor's
         watchdog can hard-kill it; a harness kill or an expired
-        *timeout* both surface as ``timed_out=True``.
+        *timeout* both surface as ``timed_out=True``.  *schedule*, a
+        strategy ``spec()``, runs the program under that controlled
+        schedule in the worker.
         """
         if self._closed:
             raise PoolError("dispatch on a closed pool")
@@ -287,6 +293,7 @@ class WorkerPool:
         timed_out = False
         returncode = 0
         stdout = stderr = ""
+        record: Optional[Dict[str, Any]] = None
         obs_payload: Optional[Dict[str, Any]] = None
         # The span the caller has open for this dispatch (the runner's
         # subprocess span): adopted child spans are stitched under it.
@@ -300,6 +307,8 @@ class WorkerPool:
                     "args": list(args) if args is not None else [],
                     "hide_prints": bool(hide_prints),
                 }
+                if schedule is not None:
+                    request["schedule"] = schedule
                 if obs.enabled:
                     context = current_context()
                     request["obs"] = {
@@ -324,6 +333,7 @@ class WorkerPool:
                 returncode = int(response.get("returncode", 0))
                 stdout = str(response.get("stdout", ""))
                 stderr = str(response.get("stderr", ""))
+                record = response.get("schedule")
                 payload = response.get("obs")
                 if isinstance(payload, dict):
                     obs_payload = payload
@@ -348,6 +358,7 @@ class WorkerPool:
             returncode=returncode,
             timed_out=timed_out,
             duration=duration,
+            schedule=record,
         )
 
     @staticmethod

@@ -72,6 +72,9 @@ class TestRecord:
     #: Failure-taxonomy kind of the underlying execution (empty when the
     #: result predates the taxonomy or never ran a program).
     failure_kind: str = ""
+    #: Label of the controlled schedule the graded run followed (empty
+    #: for a run on free threads); rerunning it reproduces the grade.
+    schedule: str = ""
 
     @classmethod
     def from_result(cls, result: TestResult) -> "TestRecord":
@@ -82,6 +85,7 @@ class TestRecord:
             max_score=result.max_score,
             fatal=result.fatal,
             failure_kind=result.failure_kind,
+            schedule=result.schedule,
             aspects=[
                 AspectRecord(
                     aspect=o.aspect,
@@ -95,8 +99,9 @@ class TestRecord:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        """Primitive-dict form for JSON serialization."""
-        return {
+        """Primitive-dict form for JSON serialization; ``schedule`` only
+        when the run followed one."""
+        data = {
             "test_name": self.test_name,
             "score": self.score,
             "max_score": self.max_score,
@@ -104,6 +109,9 @@ class TestRecord:
             "failure_kind": self.failure_kind,
             "aspects": [a.to_dict() for a in self.aspects],
         }
+        if self.schedule:
+            data["schedule"] = self.schedule
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TestRecord":
@@ -114,6 +122,7 @@ class TestRecord:
             max_score=float(data["max_score"]),
             fatal=data.get("fatal", ""),
             failure_kind=data.get("failure_kind", ""),
+            schedule=data.get("schedule", ""),
             aspects=[AspectRecord.from_dict(a) for a in data.get("aspects", [])],
         )
 

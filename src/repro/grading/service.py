@@ -299,9 +299,6 @@ class GradingService:
         :class:`~repro.execution.supervisor.GradingSupervisor` (the race
         flags travel in the shard manifest's ``supervisor`` dict, so a
         respawned incarnation grades with the same race policy).
-        ``explore_schedules`` > 0 raises ``ValueError`` together with
-        ``subprocess_mode`` or ``pool_size``: those programs run in a
-        child process, outside the controlled scheduler.
     pool_size:
         When > 0, each shard worker keeps this many pre-forked warm
         interpreters (:class:`~repro.execution.worker_pool.WorkerPool`)
@@ -370,11 +367,6 @@ class GradingService:
         """Configure the service; see the class docstring for knobs."""
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if explore_schedules > 0 and (subprocess_mode or pool_size > 0):
-            raise ValueError(
-                "explore_schedules needs in-process runs: a subprocess or "
-                "pooled program runs outside the controlled scheduler"
-            )
         self.suite = suite
         self.workdir = Path(workdir)
         self.shards = int(shards)

@@ -32,6 +32,7 @@ __all__ = [
     "ThreadingBackend",
     "SimulationBackend",
     "current_backend",
+    "installed_backend",
     "use_backend",
 ]
 
@@ -148,6 +149,9 @@ class SimulationBackend(ConcurrencyBackend):
 
 _default_backend: ConcurrencyBackend = ThreadingBackend()
 
+#: What each thread installed with :func:`use_backend`, innermost scope.
+_installed = threading.local()
+
 #: Mailbox holding the most recent simulation makespan, readable by the
 #: performance checker's ``duration_source`` after each run.  Runs are
 #: strictly serialized by the trace session, so one slot suffices.
@@ -159,23 +163,38 @@ def current_backend() -> ConcurrencyBackend:
     return _default_backend
 
 
+def installed_backend() -> Optional[ConcurrencyBackend]:
+    """The backend the calling thread installed with :func:`use_backend`.
+
+    ``None`` outside every :func:`use_backend` scope of this thread.  A
+    runner asks this, not :func:`current_backend`, whether its caller
+    chose the backend: the ambient slot is process-wide, so in a
+    parallel batch it may hold another thread's backend.
+    """
+    return getattr(_installed, "backend", None)
+
+
 @contextmanager
 def use_backend(backend: ConcurrencyBackend) -> Iterator[ConcurrencyBackend]:
     """Install *backend* as the ambient backend for this thread's scope.
 
     The backend is stored in a plain module slot (not thread-local) for
     the duration, because the tested program runs on its own root thread
-    and must observe the harness's choice.
+    and must observe the harness's choice; the installing thread alone
+    also sees it through :func:`installed_backend`.
     """
     global _default_backend
     previous = _default_backend
+    previous_installed = installed_backend()
     _default_backend = backend
+    _installed.backend = backend
     try:
         yield backend
     finally:
         if isinstance(backend, SimulationBackend):
             _last_makespan[0] = backend.makespan()
         _default_backend = previous
+        _installed.backend = previous_installed
 
 
 def last_makespan() -> float:

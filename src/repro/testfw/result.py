@@ -70,6 +70,9 @@ class TestResult:
     #: ``"timeout"``, ``"crash"``, ``"signal"``, ``"garbled-trace"``,
     #: ``"infra-error"``); empty for results that never ran a program.
     failure_kind: str = ""
+    #: Label of the controlled schedule the program ran under (e.g.
+    #: ``preemption-bound:q1.r0``); empty for a run on free threads.
+    schedule: str = ""
 
     @property
     def percent(self) -> float:

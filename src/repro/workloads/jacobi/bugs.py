@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from typing import List
 
 from repro.execution.registry import register_main
@@ -47,7 +46,7 @@ def main_in_place(args: List[str]) -> None:
 
     grid = initial_grid(num_cells)
     deltas: List[float] = []
-    lock = threading.Lock()
+    lock = backend.lock()
 
     def make_worker(lo: int, hi: int):
         def worker() -> None:
@@ -94,7 +93,7 @@ def main_wrong_global_delta(args: List[str]) -> None:
     old = initial_grid(num_cells)
     new = [0.0] * num_cells
     deltas: List[float] = []
-    lock = threading.Lock()
+    lock = backend.lock()
 
     def make_worker(lo: int, hi: int):
         def worker() -> None:
@@ -136,7 +135,7 @@ def main_no_round_barrier(args: List[str]) -> None:
 
     grid = initial_grid(num_cells)
     deltas: List[float] = []
-    lock = threading.Lock()
+    lock = backend.lock()
 
     for round_index in range(num_rounds):
         print_property(ROUND, round_index)

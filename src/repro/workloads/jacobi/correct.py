@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from typing import List
 
 from repro.execution.registry import register_main
@@ -34,7 +33,7 @@ def main(args: List[str]) -> None:
     old = initial_grid(num_cells)
     new = [0.0] * num_cells
     deltas: List[float] = []
-    lock = threading.Lock()
+    lock = backend.lock()
 
     def make_worker(lo: int, hi: int):
         def worker() -> None:

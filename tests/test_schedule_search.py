@@ -16,7 +16,8 @@ Pins the behaviour the verdicts stand on:
   the ``N of M interleavings fail`` verdict through unchanged;
 * a controlled run is judged once, by ``failure_reasons``, and never on
   the thread-interleaving aspect, so a correct program is not racy;
-* exploration refuses programs that would run outside the scheduler.
+* a cold-subprocess, pooled or sharded sweep explores exactly what an
+  in-process one does.
 """
 
 from __future__ import annotations
@@ -34,12 +35,19 @@ from repro.execution.exploration import (
     checker_runs,
     failure_reasons,
 )
+from repro.execution.runner import in_process_session_lock
+from repro.execution.scheduling import RandomWalkStrategy, ScheduledBackend
 from repro.execution.supervisor import GradingSupervisor
+from repro.execution.worker_pool import WorkerPool
 from repro.grading.export import gradebook_csv
 from repro.grading.html_report import gradebook_html
 from repro.grading.records import SubmissionRecord
-from repro.grading.service import GradingService
-from repro.graders.suites import build_primes_suite, build_synclab_suite
+from repro.graders.suites import (
+    build_named_suite,
+    build_primes_suite,
+    build_synclab_suite,
+)
+from repro.simulation.backend import use_backend
 from repro.graders.synclab import (
     SyncLabCounterFunctionality,
     SyncLabStragglerFunctionality,
@@ -316,46 +324,59 @@ class TestSupervisorExhaustive:
             GradingSupervisor(build_synclab_suite, explore_strategy="chaos")
 
 
+#: The supervisor's default exhaustive campaigns, as (enumerated,
+#: executed, deduped, mispredicted, complete).
+PINNED_CAMPAIGNS = {
+    "lost_update": (26, 14, 12, 0, True),
+    "guarded": (40, 24, 16, 0, True),
+    "straggler": (44, 40, 4, 0, False),
+}
+
+
+def default_campaigns(suite_factory, monkeypatch):
+    """Grade the three synclab programs with ``--explore 40
+    --explore-strategy exhaustive --explore-depth 2 --race-detect`` and
+    tally each campaign as :data:`PINNED_CAMPAIGNS` does."""
+    searches = []
+    run = ExhaustiveSearch.run
+
+    def recording_run(self):
+        out = run(self)
+        searches.append(out)
+        return out
+
+    monkeypatch.setattr(ExhaustiveSearch, "run", recording_run)
+    supervisor = GradingSupervisor(
+        suite_factory,
+        jobs=1,
+        explore_schedules=40,
+        explore_strategy="exhaustive",
+        explore_depth=2,
+        race_detect=True,
+    )
+    campaigns = {}
+    for program in PINNED_CAMPAIGNS:
+        supervisor.grade({program: f"synclab.{program}"})
+        out = searches[-1]
+        campaigns[program] = (
+            out.enumerated,
+            out.executed,
+            out.deduped,
+            out.mispredicted,
+            out.complete,
+        )
+    return campaigns
+
+
 class TestSupervisorDedupEfficiency:
-    """The supervisor's default exhaustive campaigns (``--explore 40
-    --explore-strategy exhaustive --explore-depth 2 --race-detect``),
-    pinned as (enumerated, executed, deduped, mispredicted, complete):
-    a change that keeps the censuses but loses dedup fails here."""
+    """The supervisor's default exhaustive campaigns, pinned: a change
+    that keeps the censuses but loses dedup fails here."""
 
     def test_default_campaigns_are_pinned(self, monkeypatch):
-        searches = []
-        run = ExhaustiveSearch.run
-
-        def recording_run(self):
-            out = run(self)
-            searches.append(out)
-            return out
-
-        monkeypatch.setattr(ExhaustiveSearch, "run", recording_run)
-        supervisor = GradingSupervisor(
-            build_synclab_suite,
-            jobs=1,
-            explore_schedules=40,
-            explore_strategy="exhaustive",
-            explore_depth=2,
-            race_detect=True,
+        assert (
+            default_campaigns(build_synclab_suite, monkeypatch)
+            == PINNED_CAMPAIGNS
         )
-        campaigns = {}
-        for program in ("lost_update", "guarded", "straggler"):
-            supervisor.grade({program: f"synclab.{program}"})
-            out = searches[-1]
-            campaigns[program] = (
-                out.enumerated,
-                out.executed,
-                out.deduped,
-                out.mispredicted,
-                out.complete,
-            )
-        assert campaigns == {
-            "lost_update": (26, 14, 12, 0, True),
-            "guarded": (40, 24, 16, 0, True),
-            "straggler": (44, 40, 4, 0, False),
-        }
 
 
 #: Reads the counter unguarded, then writes it under two nested locks:
@@ -619,43 +640,102 @@ class TestInterleavingNeverDecides:
 
 
 # ----------------------------------------------------------------------
-# Exploration refuses programs that run outside the scheduler
+# Exploration gives the same census in every regime
 # ----------------------------------------------------------------------
-class TestOutOfProcessExplorationRefused:
-    """A subprocess or pooled program never sees the in-process
-    scheduler: the parent recorded empty schedules and graded
-    ``synclab.straggler`` 100% and complete, 1 of 1 interleavings."""
+#: The ``grade`` rows of the default synclab race sweep, after the name.
+SWEEP_ROWS = {
+    "synclab.lost_update": (
+        "66.7%  [racy 8 of 26 interleavings fail]  [8 races: "
+        "worker-0@1(checkpoint,unlocked) × worker-1@4(checkpoint,unlocked)]"
+    ),
+    "synclab.guarded": "100.0%",
+    "synclab.straggler": (
+        "100.0%  [racy-lucky 4 races: worker-2@14(checkpoint,unlocked) × "
+        "worker-3@22(checkpoint,unlocked)]"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with WorkerPool(1) as warm:
+        yield warm
+
+
+class TestExplorationInEveryRegime:
+    """The schedule travels to the child that runs the program and its
+    decisions come back, so a pooled, cold-subprocess or sharded sweep
+    explores what an in-process one does.  (Before, the child never saw
+    the scheduler: every campaign recorded one empty schedule and graded
+    ``synclab.straggler`` 100% race-free, 1 of 1 interleavings.)  With
+    two jobs on two pool workers, one submission's exploring attempt
+    runs beside another's plain attempt; neither may send or record
+    the other's schedule."""
 
     @pytest.mark.parametrize(
         "flags",
-        [["--pool-size", "1"], ["--subprocess"], ["--shards", "2", "--subprocess"]],
-        ids=["pool-size", "subprocess", "sharded-subprocess"],
+        [
+            [],
+            ["--subprocess"],
+            ["--pool-size", "1"],
+            ["--shards", "2", "--pool-size", "1"],
+            ["--jobs", "2", "--pool-size", "2"],
+        ],
+        ids=["in-process", "subprocess", "pool-size", "sharded-pool", "jobs-2-pool"],
     )
-    def test_cli_grade_exits_2_before_grading(self, flags, capsys):
+    def test_cli_rows_match(self, flags, capsys):
         status = cli_main(
-            ["grade", "synclab", "--submissions", "synclab.straggler",
-             "--explore", "5", *flags]
+            ["grade", "synclab", "--submissions", ",".join(SWEEP_ROWS),
+             "--explore", "40", "--explore-strategy", "exhaustive",
+             "--explore-depth", "2", "--race-detect", *flags]
         )
-        captured = capsys.readouterr()
-        assert status == 2
-        assert "--explore" in captured.err
-        assert "Gradebook" not in captured.out
+        out = capsys.readouterr().out
+        assert status == 0
+        rows = {
+            line.split()[0]: line.split(None, 1)[1]
+            for line in out.splitlines()
+            if line.strip().startswith("synclab.")
+        }
+        assert rows == SWEEP_ROWS
 
-    def test_supervisor_with_a_pool_raises(self):
-        with pytest.raises(ValueError, match="explore_schedules"):
-            GradingSupervisor(
-                build_synclab_suite, pool=object(), explore_schedules=1
-            )
-        GradingSupervisor(build_synclab_suite, pool=object())
+    def test_pooled_campaign_counts_are_pinned(self, pool, monkeypatch):
+        """The cold child ships its decisions over the same code path;
+        its census is pinned by the ``subprocess`` row test above."""
 
-    @pytest.mark.parametrize(
-        "mode",
-        [{"subprocess_mode": True}, {"pool_size": 1}],
-        ids=["subprocess", "pool"],
-    )
-    def test_service_out_of_process_raises(self, mode, tmp_path):
-        with pytest.raises(ValueError, match="explore_schedules"):
-            GradingService(
-                "synclab", workdir=tmp_path, explore_schedules=5, **mode
+        def factory(identifier):
+            return build_named_suite(
+                "synclab", identifier, subprocess_mode=True, pool=pool
             )
-        GradingService("synclab", workdir=tmp_path, **mode)
+
+        assert default_campaigns(factory, monkeypatch) == PINNED_CAMPAIGNS
+
+    def test_pooled_straggler_is_racy_lucky(self, pool):
+        batch = GradingSupervisor(
+            build_synclab_suite,
+            pool=pool,
+            explore_schedules=40,
+            explore_strategy="exhaustive",
+            explore_depth=2,
+            race_detect=True,
+        ).grade({"s": "synclab.straggler"})
+        record = batch.gradebook.latest("s")
+        assert record.concurrency_verdict == "racy-lucky"
+        assert record.race_count == 4
+        assert (record.interleavings_failing, record.interleavings_total) == (0, 44)
+        assert record.interleavings_complete is False
+
+    def test_hidden_runs_keep_the_recorded_schedule(self, pool):
+        """A primes suite's 22 hidden performance runs share the ambient
+        backend with its functionality run; they record no decision and
+        must not erase the functionality run's."""
+
+        def decisions(**mode):
+            backend = ScheduledBackend(RandomWalkStrategy(3))
+            suite = build_named_suite("primes", "primes.racy", **mode)
+            with in_process_session_lock(), use_backend(backend):
+                suite.run()
+            return backend.schedule_trace().decisions
+
+        in_process = decisions()
+        assert in_process
+        assert decisions(subprocess_mode=True, pool=pool) == in_process

@@ -17,6 +17,8 @@ from repro.execution.exploration import ScheduleExplorer, checker_runs
 from repro.execution.runner import ProgramRunner
 from repro.execution.scheduling import (
     BoundedPreemptionStrategy,
+    ExhaustiveStrategy,
+    PCTStrategy,
     RandomWalkStrategy,
     ReplayStrategy,
     ScheduleDecision,
@@ -25,6 +27,7 @@ from repro.execution.scheduling import (
     ScheduledBackend,
     bounded_preemption_sweep,
     resolve_schedule_strategy,
+    strategy_from_spec,
 )
 from repro.graders import PrimesFunctionality
 
@@ -183,6 +186,38 @@ class TestRecordAndReplay:
         data["version"] = 99
         with pytest.raises(ValueError):
             ScheduleTrace.from_dict(data)
+
+    def test_trace_round_trips_through_the_wire_form(self):
+        recorded = run_scheduled("synclab.guarded", 3, args=[]).schedule
+        assert any(d.lock is not None for d in recorded.decisions)
+        wire = json.loads(json.dumps(recorded.to_wire()))
+        assert all(isinstance(d, list) for d in wire["decisions"])
+        loaded = ScheduleTrace.from_wire(wire, "synclab.guarded")
+        assert loaded.to_dict() == recorded.to_dict()
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            RandomWalkStrategy(7),
+            BoundedPreemptionStrategy(quantum=2, rotation=1),
+            PCTStrategy(3, depth=2, expected_length=40),
+            ExhaustiveStrategy([1, 0, 1]),
+        ],
+        ids=lambda s: s.name,
+    )
+    def test_a_spec_rebuilds_the_same_schedule(self, strategy):
+        rebuilt = strategy_from_spec(json.loads(json.dumps(strategy.spec())))
+        assert rebuilt.label() == strategy.label()
+        assert decision_dicts(run_scheduled(RACY, rebuilt).schedule) == (
+            decision_dicts(run_scheduled(RACY, strategy.clone()).schedule)
+        )
+
+    def test_a_replay_spec_carries_its_trace(self):
+        recorded = run_scheduled(RACY, 4).schedule
+        rebuilt = strategy_from_spec(ReplayStrategy(recorded).spec())
+        replayed = run_scheduled(RACY, rebuilt).schedule
+        assert replayed.divergence == ""
+        assert decision_dicts(replayed) == decision_dicts(recorded)
 
 
 class TestDeadlockDetection:
