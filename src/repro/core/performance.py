@@ -5,13 +5,16 @@ test program supplies the tested program's name and two argument vectors
 — one forcing a low thread count, one a high thread count — plus a
 minimum required speedup.  The infrastructure runs each configuration a
 default 10 times *with all intercepted prints disabled* (so tracing does
-not perturb the timing), computes the speedup from the total times, and
-awards full points when it meets the minimum, zero otherwise — always
-reporting the difference between expected and actual.
+not perturb the timing), computes the speedup from the per-run mean
+times, and awards full points when it meets the minimum, zero otherwise
+— always reporting the difference between expected and actual.
 
 ``duration_source`` lets deployments that cannot rely on wall-clock
 parallelism (pure-Python CPU-bound code under the GIL) substitute the
-virtual-time makespan measured by :mod:`repro.simulation`.
+virtual-time makespan measured by :mod:`repro.simulation`.  Such a
+duration is deterministic, so ``num_timed_runs()`` is then a cap: each
+configuration stops once a clean run repeats the clean run before it
+(:func:`~repro.execution.timing.time_program`).
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ from repro.testfw.case import ScoredTestCase
 from repro.testfw.result import AspectOutcome, AspectStatus, TestResult
 
 __all__ = ["AbstractConcurrencyPerformanceChecker"]
+
+
+def _timed_runs(timing: TimingResult) -> str:
+    """How many timed runs *timing*'s total covers, e.g. ``1 timed run``."""
+    count = timing.clean_runs
+    return f"{count} timed run{'' if count == 1 else 's'}"
 
 
 class AbstractConcurrencyPerformanceChecker(ScoredTestCase):
@@ -64,7 +73,11 @@ class AbstractConcurrencyPerformanceChecker(ScoredTestCase):
         return 1.5
 
     def num_timed_runs(self) -> int:
-        """Timed repetitions per configuration (paper default: 10)."""
+        """Timed repetitions per configuration (paper default: 10).
+
+        A cap under :meth:`duration_source`: the loop stops once a clean
+        run reads what the clean run before it read.
+        """
         return DEFAULT_TIMED_RUNS
 
     def partial_speedup_credit(self) -> bool:
@@ -87,8 +100,9 @@ class AbstractConcurrencyPerformanceChecker(ScoredTestCase):
         """Optional substitute notion of elapsed time per run.
 
         Return a callable mapping an :class:`ExecutionResult` to seconds
-        — e.g. the simulation backend's virtual makespan — or ``None``
-        for wall-clock timing.
+        — e.g. ``lambda execution: execution.makespan or 0.0``, the
+        virtual makespan the run published (a failed run publishes
+        none) — or ``None`` for wall-clock timing.
         """
         return None
 
@@ -185,7 +199,8 @@ class AbstractConcurrencyPerformanceChecker(ScoredTestCase):
             status=AspectStatus.PASSED if ok else AspectStatus.FAILED,
             message=(
                 f"speedup {actual:.2f} >= required {expected:g} "
-                f"(low total {low.total:.4f}s, high total {high.total:.4f}s)"
+                f"(low total {low.total:.4f}s over {_timed_runs(low)}, "
+                f"high total {high.total:.4f}s over {_timed_runs(high)})"
                 if ok
                 else Messages.insufficient_speedup(expected, actual)
             ),

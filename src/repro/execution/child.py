@@ -28,7 +28,18 @@ SubprocessRunner` relies on:
   yields), and one ``@repro-schedule <json>`` stderr record before any
   traceback reports ``{"trace": <wire trace>, "stalled": bool}``
   (:meth:`~repro.execution.scheduling.ScheduleTrace.to_wire`).  A
-  stalled run is not rerun here: the parent reruns it on free threads.
+  stalled run is not rerun here: the parent reruns it on free threads;
+* a program that publishes a virtual makespan
+  (:func:`repro.simulation.backend.record_makespan`) gets one
+  ``@repro-makespan <float>`` stderr record before any traceback, so
+  the parent's ``ExecutionResult.makespan`` reads what this process
+  measured;
+* the child's stdin is the test's scripted input, one line per
+  ``stdin_lines()`` entry, or empty when the test scripts none.  An
+  ``input()`` prompt is display text, as in process: it stays in the
+  output, and the line it starts carries its length as a third field of
+  that line's ``@repro-line`` record, so the parent parses the rest of
+  the line as the event.
 """
 
 from __future__ import annotations
@@ -51,10 +62,14 @@ SCHEDULE_OPTION = "--schedule="
 #: stderr record of a controlled run: ``@repro-schedule <json>``.
 SCHEDULE_RECORD_PREFIX = "@repro-schedule "
 
+#: stderr record of a published virtual makespan: ``@repro-makespan <float>``.
+MAKESPAN_RECORD_PREFIX = "@repro-makespan "
 
-#: stderr side-channel record: ``@repro-line <stdout line index> <tid>``.
-#: Emitted for every stdout line so the parent can attribute plain
-#: (non-property) lines to the thread that actually printed them.
+
+#: stderr side-channel record: ``@repro-line <stdout line index> <tid>``,
+#: plus `` <prompt length>`` when the line starts with ``input()``
+#: prompts.  Emitted for every stdout line so the parent can attribute
+#: plain (non-property) lines to the thread that actually printed them.
 LINE_ANNOTATION_PREFIX = "@repro-line "
 
 
@@ -76,6 +91,9 @@ class _LineAtomicStdout:
         self._real = real
         self._err = err
         self._buffers = threading.local()
+        #: Per thread ident: length of the ``input()`` prompt text that
+        #: starts the thread's buffered partial line (usually empty).
+        self._prompts: Dict[int, int] = {}
         self._lock = threading.Lock()
         self._line_index = 0
         #: Called after every emitted line when the program runs under
@@ -96,16 +114,41 @@ class _LineAtomicStdout:
             if newline < 0:
                 break
             line, buffer = buffer[: newline + 1], buffer[newline + 1 :]
+            prompt = (
+                self._prompts.pop(threading.get_ident(), 0) if self._prompts else 0
+            )
             with self._lock:
                 index = self._line_index
                 self._line_index += 1
                 self._real.write(line)
-                self._err.write(f"{LINE_ANNOTATION_PREFIX}{index} {tid}\n")
+                if prompt:
+                    self._err.write(f"{LINE_ANNOTATION_PREFIX}{index} {tid} {prompt}\n")
+                else:
+                    self._err.write(f"{LINE_ANNOTATION_PREFIX}{index} {tid}\n")
             if hook is not None:
                 buffers.value = buffer
                 hook()
         buffers.value = buffer
         return len(text)
+
+    def input(self, prompt: object = "") -> str:
+        """``input()`` for the tested program: write *prompt*, read stdin.
+
+        In process a prompt lands in the output, and the print that
+        ends its line is recorded without it; the prompt's length on the
+        line's attribution record lets the parent do the same.
+        """
+        text = str(prompt)
+        if text:
+            self.write(text)
+            ident = threading.get_ident()
+            self._prompts[ident] = (
+                self._prompts.get(ident, 0) + len(text) - (text.rfind("\n") + 1)
+            )
+        line = sys.stdin.readline()
+        if not line:
+            raise EOFError("EOF when reading a line")
+        return line[:-1] if line.endswith("\n") else line
 
     def flush(self) -> None:
         with self._lock:
@@ -129,17 +172,22 @@ def run_program(
     args: List[str],
     wrapper: _LineAtomicStdout,
     schedule: Optional[Dict[str, Any]] = None,
-) -> Tuple[str, Optional[Dict[str, Any]]]:
+) -> Tuple[str, Optional[Dict[str, Any]], Optional[float]]:
     """Run *program* with its output on *wrapper*: the child's one run.
 
     The infrastructure's root marker is printed from the thread that
     runs ``main``, first, so the root takes the first trace id.
     Returns the traceback text of an exception escaping ``main`` (empty
-    when it returned) and, when *schedule* (a strategy ``spec()``) was
-    given, the controlled run's record ``{"trace", "stalled"}``.  A
-    controlled run has no time limit here: the parent process enforces
-    it by killing the child.
+    when it returned); when *schedule* (a strategy ``spec()``) was
+    given, the controlled run's record ``{"trace", "stalled"}``, else
+    ``None``; and the virtual makespan the run published, else ``None``.
+    A controlled run has no time limit here: the parent process enforces
+    it by killing the child.  ``input()`` reads ``sys.stdin`` and writes
+    its prompt through :meth:`_LineAtomicStdout.input`.
     """
+    import builtins
+
+    from repro.simulation.backend import last_makespan, record_makespan
     from repro.tracing.print_property import print_property
 
     failure: List[str] = []
@@ -152,27 +200,33 @@ def run_program(
             failure.append(traceback.format_exc())
         wrapper.close_buffers()
 
-    if schedule is None:
-        root_body()
-        return "".join(failure), None
-
-    from repro.execution.scheduling import ScheduledBackend, strategy_from_spec
-    from repro.simulation.backend import use_backend
-
-    backend = ScheduledBackend(strategy_from_spec(schedule))
-    wrapper.yield_hook = backend.trace_yield
-    root = threading.Thread(target=root_body, name="root", daemon=True)
+    saved_input = builtins.input
+    builtins.input = wrapper.input
+    record_makespan(None)
     try:
-        with use_backend(backend):
-            root.start()
-            outcome = backend.await_root(root, None)
+        if schedule is None:
+            root_body()
+            return "".join(failure), None, last_makespan()
+
+        from repro.execution.scheduling import ScheduledBackend, strategy_from_spec
+        from repro.simulation.backend import use_backend
+
+        backend = ScheduledBackend(strategy_from_spec(schedule))
+        wrapper.yield_hook = backend.trace_yield
+        root = threading.Thread(target=root_body, name="root", daemon=True)
+        try:
+            with use_backend(backend):
+                root.start()
+                outcome = backend.await_root(root, None)
+        finally:
+            wrapper.yield_hook = None
+        record = {
+            "trace": backend.schedule_trace().to_wire(),
+            "stalled": outcome == "stalled",
+        }
+        return "".join(failure), record, last_makespan()
     finally:
-        wrapper.yield_hook = None
-    record = {
-        "trace": backend.schedule_trace().to_wire(),
-        "stalled": outcome == "stalled",
-    }
-    return "".join(failure), record
+        builtins.input = saved_input
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -204,10 +258,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(str(exc), file=sys.stderr)
         return UNKNOWN_MAIN_EXIT
 
-    failure, record = run_program(program, args, wrapper, schedule)
+    failure, record, makespan = run_program(program, args, wrapper, schedule)
     wrapper.flush()
     if record is not None:
         sys.stderr.write(SCHEDULE_RECORD_PREFIX + json.dumps(record) + "\n")
+    if makespan is not None:
+        sys.stderr.write(f"{MAKESPAN_RECORD_PREFIX}{makespan!r}\n")
     if failure:
         sys.stderr.write(failure)
         return PROGRAM_ERROR_EXIT

@@ -29,6 +29,12 @@ many bytes of UTF-8 JSON):
   the compact form of
   :meth:`~repro.execution.scheduling.ScheduleTrace.to_wire` (one
   ``[point, chosen, ready(, lock)]`` array per decision);
+* a request may carry a ``"stdin"`` list of strings, the test's
+  scripted input: the program reads them as its stdin, one line each
+  (without the field its stdin is empty);
+* when the program publishes a virtual makespan
+  (:func:`repro.simulation.backend.record_makespan`) the response gains
+  ``"makespan": float``;
 * ``{"op": "exit"}`` ends the serve loop (exit status 0).
 
 The response mimics a cold child run byte-for-byte: ``stdout`` is the
@@ -57,7 +63,7 @@ import os
 import struct
 import sys
 import time
-from typing import Any, BinaryIO, Dict, Optional
+from typing import Any, BinaryIO, Dict, List, Optional
 
 #: Frame header: 4-byte big-endian payload length.
 FRAME_HEADER = struct.Struct(">I")
@@ -106,6 +112,7 @@ def _serve_one(
     args: list,
     hide_prints: bool,
     schedule: Optional[Dict[str, Any]] = None,
+    stdin: Optional[List[str]] = None,
 ) -> Dict[str, Any]:
     """Run one submission with captured output; the cold child in a box."""
     from repro.execution.child import (
@@ -130,10 +137,13 @@ def _serve_one(
     old_stdout, old_stderr, old_stdin = sys.stdout, sys.stderr, sys.stdin
     sys.stdout = wrapper  # type: ignore[assignment]
     sys.stderr = err_buffer  # type: ignore[assignment]
-    sys.stdin = io.StringIO()  # type: ignore[assignment]
+    sys.stdin = io.StringIO(  # type: ignore[assignment]
+        "".join(f"{line}\n" for line in stdin or ())
+    )
     started = time.perf_counter()
     returncode = 0
     record: Optional[Dict[str, Any]] = None
+    makespan: Optional[float] = None
     try:
         try:
             program = resolve_main(identifier)
@@ -143,7 +153,9 @@ def _serve_one(
         else:
             # Same marker contract as the cold child: printed by the
             # infrastructure from the root thread, suppressed when hidden.
-            failure, record = run_program(program, args, wrapper, schedule)
+            failure, record, makespan = run_program(
+                program, args, wrapper, schedule
+            )
             if failure:
                 err_buffer.write(failure)
                 returncode = PROGRAM_ERROR_EXIT
@@ -160,6 +172,8 @@ def _serve_one(
     }
     if record is not None:
         response["schedule"] = record
+    if makespan is not None:
+        response["makespan"] = makespan
     return response
 
 
@@ -175,9 +189,10 @@ def _serve_request(request: Dict[str, Any]) -> Dict[str, Any]:
     args = list(request.get("args", ()))
     hide_prints = bool(request.get("hide_prints", False))
     schedule = request.get("schedule")
+    stdin = request.get("stdin")
     obs_cfg = request.get("obs")
     if not (isinstance(obs_cfg, dict) and obs_cfg.get("enabled")):
-        return _serve_one(identifier, args, hide_prints, schedule)
+        return _serve_one(identifier, args, hide_prints, schedule, stdin)
 
     from repro.obs.context import TraceContext
     from repro.obs.export import registry_payload
@@ -193,7 +208,7 @@ def _serve_request(request: Dict[str, Any]) -> Dict[str, Any]:
             "pool.serve", identifier=identifier, pid=os.getpid()
         )
         try:
-            response = _serve_one(identifier, args, hide_prints, schedule)
+            response = _serve_one(identifier, args, hide_prints, schedule, stdin)
         finally:
             registry.end_span(span)
     response["obs"] = registry_payload(registry, context=context)

@@ -95,6 +95,10 @@ class ExecutionResult:
     #: Why a run asked to follow a controlled schedule carries none:
     #: it stalled outside the scheduler and was rerun on free threads.
     schedule_note: str = ""
+    #: Virtual makespan the run published with
+    #: :func:`~repro.simulation.backend.record_makespan`, in whichever
+    #: process ran it; ``None`` when it published none.
+    makespan: Optional[float] = None
 
     @property
     def ok(self) -> bool:
@@ -284,6 +288,8 @@ class ProgramRunner:
         from repro.simulation.backend import (
             ThreadingBackend,
             current_backend,
+            last_makespan,
+            record_makespan,
             use_backend,
         )
 
@@ -313,6 +319,7 @@ class ProgramRunner:
                 backend = ThreadingBackend()
             if feed is not None:
                 feed.install()
+            record_makespan(None)
             try:
                 with contextlib.ExitStack() as stack:
                     if backend is not None:
@@ -334,6 +341,7 @@ class ProgramRunner:
             finally:
                 if feed is not None:
                     feed.uninstall()
+            makespan = last_makespan()
         duration = time.perf_counter() - started
 
         events = session.database.snapshot()
@@ -361,6 +369,7 @@ class ProgramRunner:
                 else None
             ),
             schedule_seed=controlled.seed if controlled is not None else None,
+            makespan=makespan,
         )
         stall = controlled.scheduler.divergence if outcome == "stalled" else ""
         return result, stall

@@ -36,6 +36,7 @@ from repro.eventdb.database import EventDatabase
 from repro.eventdb.events import PropertyEvent
 from repro.execution.child import (
     LINE_ANNOTATION_PREFIX,
+    MAKESPAN_RECORD_PREFIX,
     PROGRAM_ERROR_EXIT,
     ROOT_MARKER,
     SCHEDULE_OPTION,
@@ -158,7 +159,7 @@ class SubprocessRunner:
 
     Duck-types the runner interface the checkers use:
     ``run(identifier, args, *, hide_prints=False, timeout=None,
-    schedule=None)``.
+    stdin_lines=None, schedule=None)``.
     """
 
     def __init__(
@@ -198,12 +199,17 @@ class SubprocessRunner:
         *,
         hide_prints: bool = False,
         timeout: Optional[float] = None,
+        stdin_lines: Optional[List[str]] = None,
         schedule: Optional[Any] = None,
     ) -> ExecutionResult:
         """Run *identifier* in a child interpreter and rebuild its trace.
 
         Mirrors :meth:`ProgramRunner.run`'s signature and result; the
-        trace is reconstructed from the child's output text.  The
+        trace is reconstructed from the child's output text.
+        ``stdin_lines`` become the child's stdin, one line each; without
+        them the child reads an empty stdin.  A virtual makespan the
+        program publishes in the child comes back as
+        ``result.makespan``.  The
         schedule is chosen as in process
         (:func:`~repro.execution.runner.follow_schedule`: a backend the
         calling thread installed wins over ``schedule=``) and travels
@@ -227,6 +233,7 @@ class SubprocessRunner:
                     args,
                     hide_prints=hide_prints,
                     limit=budget,
+                    stdin_lines=stdin_lines,
                     controlled=controlled,
                 ),
             )
@@ -248,6 +255,7 @@ class SubprocessRunner:
         *,
         hide_prints: bool,
         limit: float,
+        stdin_lines: Optional[List[str]],
         controlled: Optional["ScheduledBackend"],
     ) -> Tuple[ExecutionResult, str]:
         """One child run under *controlled*, or off the scheduler.
@@ -263,6 +271,7 @@ class SubprocessRunner:
             args,
             hide_prints=hide_prints,
             limit=limit,
+            stdin_lines=stdin_lines,
             schedule=controlled.strategy.spec() if controlled is not None else None,
         )
         if controlled is None or outcome.schedule is None:
@@ -288,6 +297,7 @@ class SubprocessRunner:
         *,
         hide_prints: bool,
         limit: float,
+        stdin_lines: Optional[List[str]] = None,
         schedule: Optional[Dict[str, Any]] = None,
     ) -> PoolResult:
         """One cold child run; the same outcome a pooled dispatch gives."""
@@ -301,6 +311,7 @@ class SubprocessRunner:
         timed_out = False
         proc = subprocess.Popen(
             command,
+            stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -309,7 +320,10 @@ class SubprocessRunner:
         state = _active_children.register(proc)
         try:
             try:
-                stdout, stderr = proc.communicate(timeout=limit)
+                stdout, stderr = proc.communicate(
+                    input="".join(f"{line}\n" for line in stdin_lines or ()),
+                    timeout=limit,
+                )
             except subprocess.TimeoutExpired:
                 # The in-process runner can only *report* a timeout; here
                 # the child is a real process and we actually end it.
@@ -326,10 +340,12 @@ class SubprocessRunner:
             # deadline: the cause is the timeout, not the kill signal.
             timed_out = True
         record = None
-        if schedule is not None:
-            for line in stderr.splitlines():
-                if line.startswith(SCHEDULE_RECORD_PREFIX):
-                    record = json.loads(line[len(SCHEDULE_RECORD_PREFIX) :])
+        makespan = None
+        for line in stderr.splitlines():
+            if schedule is not None and line.startswith(SCHEDULE_RECORD_PREFIX):
+                record = json.loads(line[len(SCHEDULE_RECORD_PREFIX) :])
+            elif line.startswith(MAKESPAN_RECORD_PREFIX):
+                makespan = float(line[len(MAKESPAN_RECORD_PREFIX) :])
         return PoolResult(
             stdout=stdout or "",
             stderr=stderr,
@@ -337,6 +353,7 @@ class SubprocessRunner:
             timed_out=timed_out,
             duration=duration,
             schedule=record,
+            makespan=makespan,
         )
 
     def _run_pooled(
@@ -346,6 +363,7 @@ class SubprocessRunner:
         *,
         hide_prints: bool,
         limit: float,
+        stdin_lines: Optional[List[str]] = None,
         schedule: Optional[Dict[str, Any]] = None,
     ) -> PoolResult:
         """One run on a warm pool worker."""
@@ -355,6 +373,7 @@ class SubprocessRunner:
             hide_prints=hide_prints,
             timeout=limit,
             schedule=schedule,
+            stdin_lines=stdin_lines,
         )
 
     @staticmethod
@@ -391,19 +410,28 @@ class SubprocessRunner:
         return exception, signal_number
 
     @staticmethod
-    def _line_attributions(stderr: str) -> Dict[int, int]:
-        """Parse the child's ``@repro-line <index> <tid>`` records."""
+    def _line_attributions(stderr: str) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """Parse the child's ``@repro-line <index> <tid> [<prompt>]`` records.
+
+        Returns the printing thread of each stdout line and, for lines
+        that start with ``input()`` prompts, the prompts' length.
+        """
         attributions: Dict[int, int] = {}
+        prompts: Dict[int, int] = {}
         for line in stderr.splitlines():
             if not line.startswith(LINE_ANNOTATION_PREFIX):
                 continue
             parts = line[len(LINE_ANNOTATION_PREFIX) :].split()
-            if len(parts) == 2:
-                try:
-                    attributions[int(parts[0])] = int(parts[1])
-                except ValueError:
-                    continue
-        return attributions
+            if len(parts) not in (2, 3):
+                continue
+            try:
+                index = int(parts[0])
+                attributions[index] = int(parts[1])
+                if len(parts) == 3:
+                    prompts[index] = int(parts[2])
+            except ValueError:
+                continue
+        return attributions, prompts
 
     # ------------------------------------------------------------------
     def _reconstruct(
@@ -425,7 +453,7 @@ class SubprocessRunner:
             identifier, outcome.returncode, outcome.stderr, outcome.timed_out
         )
         stdout = outcome.stdout
-        attributions = self._line_attributions(outcome.stderr)
+        attributions, prompts = self._line_attributions(outcome.stderr)
         registry = ThreadRegistry()
         database = EventDatabase(registry)
         database.schedule_id = schedule_id
@@ -445,7 +473,12 @@ class SubprocessRunner:
         per_thread_seq: Dict[int, int] = {}
 
         for stdout_index, line in enumerate(stdout.splitlines()):
-            parsed = parse_property_line(line)
+            text = line
+            if prompts and stdout_index in prompts:
+                # An input() prompt is output, not an event (as in
+                # process): the event is what follows it, if anything.
+                text = line[prompts[stdout_index] :] or line
+            parsed = parse_property_line(text)
             if parsed is not None and parsed[1] == ROOT_MARKER:
                 root_printed_id = parsed[0]
                 continue  # infrastructure marker, not program output
@@ -457,7 +490,7 @@ class SubprocessRunner:
                     stdout_index,
                     root_printed_id if root_printed_id is not None else 0,
                 )
-                name, value = "str", line
+                name, value = "str", text
             else:
                 printed_id, name, value_text = parsed
                 value = value_text
@@ -471,7 +504,7 @@ class SubprocessRunner:
                     thread_id=printed_id,
                     name=name,
                     value=value,
-                    raw_line=line,
+                    raw_line=text,
                     explicit=parsed is not None,
                     timestamp=0.0,
                     thread_seq=thread_seq,
@@ -504,4 +537,5 @@ class SubprocessRunner:
             worker_threads=workers,
             signal_number=signal_number,
             garbled_lines=detect_garbled_lines(stdout),
+            makespan=outcome.makespan,
         )

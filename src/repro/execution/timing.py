@@ -2,13 +2,19 @@
 
 The performance checker runs the tested program with low-thread and
 high-thread arguments a default number of times (10 in the paper) and
-compares the total times.  This module owns that repetition: prints are
+compares the times.  This module owns that repetition: prints are
 hidden automatically so tracing cannot perturb the measurement, and the
 basic statistics needed for a defensible verdict (total, mean, min,
 standard deviation) are collected.  Following the profiling guidance of
 the HPC course notes — *no optimization (or grading!) without measuring*
 — the raw per-run samples are kept so a skeptical instructor can inspect
 variance rather than trust a single ratio.
+
+Under a substitute clock (a virtual makespan) a run's duration is a
+function of the program and its arguments alone, so repeating it
+measures the same number again: the repetition count is then a cap, and
+the loop ends as soon as a clean run reads what the clean run before it
+read.
 """
 
 from __future__ import annotations
@@ -46,6 +52,12 @@ class TimingResult:
     identifier: str
     args: List[str]
     samples: List[TimingSample] = field(default_factory=list)
+    #: Timed runs allowed (``time_program``'s ``runs``); ``None`` when
+    #: the result was not built by :func:`time_program`.
+    cap: Optional[int] = None
+    #: True when the loop ended because a clean run read the same
+    #: duration as the clean run just before it.
+    repeated: bool = False
 
     @property
     def runs(self) -> int:
@@ -114,10 +126,12 @@ class TimingResult:
         """One-line summary: totals, mean, min, stdev, excluded runs."""
         clean = self.clean_runs
         runs = (
-            f"{self.runs} runs"
+            f"{self.runs} run{'' if self.runs == 1 else 's'}"
             if clean == self.runs
             else f"{clean} clean runs ({self.runs - clean} failed run(s) excluded)"
         )
+        if self.repeated:
+            runs += f", stopped on a repeat (cap {self.cap})"
         return (
             f"{self.identifier} {self.args}: total {self.total:.4f}s over "
             f"{runs} (mean {self.mean:.4f}s, min {self.minimum:.4f}s, "
@@ -139,52 +153,75 @@ def time_program(
     ``duration_of`` lets a caller substitute a different notion of elapsed
     time — the virtual-clock mode of :mod:`repro.simulation` reads the
     simulated makespan off the run instead of the wall clock, giving a
-    deterministic, GIL-independent speedup measurement.
+    deterministic, GIL-independent speedup measurement.  A repeated
+    deterministic duration adds no information, so with ``duration_of``
+    *runs* is a cap: the timed loop ends at the first clean run that
+    reads the same duration as the clean run just before it, the last
+    warm-up run included.  A failed run never agrees with anything.
+    Without ``duration_of`` (the wall clock) every one of the *runs*
+    timed runs is made.
 
     ``warmup_runs`` untimed runs absorb import and allocator warm-up so
     the first timed sample is not an outlier (standard measurement
-    hygiene from the profiling guides).
+    hygiene from the profiling guides).  They never enter the samples.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     runner = runner if runner is not None else ProgramRunner()
-    result = TimingResult(identifier=identifier, args=list(args))
+    result = TimingResult(identifier=identifier, args=list(args), cap=runs)
     obs = _obs_registry()
     per_run = obs.histogram("perf.run.seconds")
     with obs.span("perf.time_program", identifier=identifier, runs=runs) as span:
+        # Under duration_of: the clean duration the next run would repeat.
+        previous: Optional[float] = None
         for _ in range(max(0, warmup_runs)):
-            runner.run(identifier, args, hide_prints=True)
+            execution = runner.run(identifier, args, hide_prints=True)
+            clean = duration_of is not None and execution.failure_kind.value == "ok"
+            previous = duration_of(execution) if clean else None
         for _ in range(runs):
             started = time.perf_counter()
             execution = runner.run(identifier, args, hide_prints=True)
             wall = time.perf_counter() - started
             duration = duration_of(execution) if duration_of is not None else wall
             per_run.observe(duration)
+            kind = execution.failure_kind.value
             result.samples.append(
                 TimingSample(
                     duration=duration,
                     ok=execution.ok,
                     reason=execution.failure_reason(),
-                    kind=execution.failure_kind.value,
+                    kind=kind,
                 )
             )
-        span.set(clean=result.clean_runs, total=round(result.total, 6))
+            if duration_of is None:
+                continue
+            if kind == "ok" and duration == previous:
+                result.repeated = True
+                break
+            previous = duration if kind == "ok" else None
+        span.set(
+            clean=result.clean_runs,
+            total=round(result.total, 6),
+            made=result.runs,
+        )
     return result
 
 
 def speedup(low_threads: TimingResult, high_threads: TimingResult) -> float:
     """Speedup of the high-thread configuration over the low-thread one.
 
-    Based on total times across the *clean* runs of each side, as in the
-    paper (failed runs measure the harness, not the program).  Returns
-    ``math.nan`` when either side has no clean run at all — a distinct
-    "nothing was measured" outcome the caller must report rather than
-    grade — and 0.0 when the high-thread total is non-positive
-    (degenerate clock) so the caller deducts points rather than dividing
-    by zero.
+    The ratio of the per-run means of the *clean* runs of each side
+    (failed runs measure the harness, not the program).  With the same
+    number of clean runs on both sides that is the paper's ratio of
+    total times; only the means stay right when the two sides stopped
+    at different counts.  Returns ``math.nan`` when either side has no
+    clean run at all — a distinct "nothing was measured" outcome the
+    caller must report rather than grade — and 0.0 when the high-thread
+    mean is non-positive (degenerate clock) so the caller deducts points
+    rather than dividing by zero.
     """
     if not low_threads.clean_runs or not high_threads.clean_runs:
         return math.nan
-    if high_threads.total <= 0.0:
+    if high_threads.mean <= 0.0:
         return 0.0
-    return low_threads.total / high_threads.total
+    return low_threads.mean / high_threads.mean

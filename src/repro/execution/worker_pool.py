@@ -68,7 +68,8 @@ class PoolResult:
     ``timed_out`` is True when the deadline expired parent-side or the
     watchdog hard-killed the worker mid-run.  ``schedule`` is the
     controlled run's record ``{"trace", "stalled"}`` when the dispatch
-    asked for a schedule and the worker answered.
+    asked for a schedule and the worker answered.  ``makespan`` is the
+    virtual makespan the program published in the child, if any.
     """
 
     stdout: str
@@ -77,6 +78,7 @@ class PoolResult:
     timed_out: bool
     duration: float
     schedule: Optional[Dict[str, Any]] = None
+    makespan: Optional[float] = None
 
 
 def pooled_child_env() -> Dict[str, str]:
@@ -270,6 +272,7 @@ class WorkerPool:
         hide_prints: bool = False,
         timeout: float = 30.0,
         schedule: Optional[Dict[str, Any]] = None,
+        stdin_lines: Optional[List[str]] = None,
     ) -> PoolResult:
         """Run one submission on a warm worker and return its outcome.
 
@@ -278,7 +281,7 @@ class WorkerPool:
         watchdog can hard-kill it; a harness kill or an expired
         *timeout* both surface as ``timed_out=True``.  *schedule*, a
         strategy ``spec()``, runs the program under that controlled
-        schedule in the worker.
+        schedule in the worker; *stdin_lines* are its scripted input.
         """
         if self._closed:
             raise PoolError("dispatch on a closed pool")
@@ -294,6 +297,7 @@ class WorkerPool:
         returncode = 0
         stdout = stderr = ""
         record: Optional[Dict[str, Any]] = None
+        makespan: Optional[float] = None
         obs_payload: Optional[Dict[str, Any]] = None
         # The span the caller has open for this dispatch (the runner's
         # subprocess span): adopted child spans are stitched under it.
@@ -309,6 +313,8 @@ class WorkerPool:
                 }
                 if schedule is not None:
                     request["schedule"] = schedule
+                if stdin_lines is not None:
+                    request["stdin"] = [str(line) for line in stdin_lines]
                 if obs.enabled:
                     context = current_context()
                     request["obs"] = {
@@ -334,6 +340,7 @@ class WorkerPool:
                 stdout = str(response.get("stdout", ""))
                 stderr = str(response.get("stderr", ""))
                 record = response.get("schedule")
+                makespan = response.get("makespan")
                 payload = response.get("obs")
                 if isinstance(payload, dict):
                     obs_payload = payload
@@ -359,6 +366,7 @@ class WorkerPool:
             timed_out=timed_out,
             duration=duration,
             schedule=record,
+            makespan=makespan,
         )
 
     @staticmethod

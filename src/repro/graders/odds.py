@@ -13,7 +13,6 @@ from typing import Any, List, Mapping, Optional
 from repro.core.checker import AbstractForkJoinChecker
 from repro.core.performance import AbstractConcurrencyPerformanceChecker
 from repro.core.properties import ARRAY, BOOLEAN, NUMBER
-from repro.simulation.backend import last_makespan
 from repro.testfw.annotations import max_value
 from repro.workloads.odds.spec import (
     DEFAULT_NUM_RANDOMS,
@@ -199,4 +198,4 @@ class SimulatedOddsPerformance(OddsPerformance):
     TESTED_CLASS_NAME = "odds.perf.sim"
 
     def duration_source(self):
-        return lambda _execution: last_makespan()
+        return lambda execution: execution.makespan or 0.0

@@ -16,7 +16,6 @@ from typing import Any, List, Mapping, Optional
 from repro.core.checker import AbstractForkJoinChecker
 from repro.core.performance import AbstractConcurrencyPerformanceChecker
 from repro.core.properties import BOOLEAN, NUMBER
-from repro.simulation.backend import last_makespan
 from repro.testfw.annotations import max_value
 from repro.workloads.pi_montecarlo.spec import (
     DEFAULT_NUM_POINTS,
@@ -221,4 +220,4 @@ class SimulatedPiPerformance(PiPerformance):
     TESTED_CLASS_NAME = "pi.perf.sim"
 
     def duration_source(self):
-        return lambda _execution: last_makespan()
+        return lambda execution: execution.makespan or 0.0

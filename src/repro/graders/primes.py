@@ -22,7 +22,6 @@ from typing import Any, List, Mapping, Optional
 from repro.core.checker import AbstractForkJoinChecker
 from repro.core.performance import AbstractConcurrencyPerformanceChecker
 from repro.core.properties import ARRAY, BOOLEAN, NUMBER
-from repro.simulation.backend import last_makespan
 from repro.testfw.annotations import max_value
 from repro.workloads.primes.spec import (
     DEFAULT_NUM_RANDOMS,
@@ -245,4 +244,4 @@ class SimulatedPrimesPerformance(PrimesPerformance):
     TESTED_CLASS_NAME = "primes.perf.sim"
 
     def duration_source(self):
-        return lambda _execution: last_makespan()
+        return lambda execution: execution.makespan or 0.0

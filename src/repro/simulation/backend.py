@@ -152,10 +152,12 @@ _default_backend: ConcurrencyBackend = ThreadingBackend()
 #: What each thread installed with :func:`use_backend`, innermost scope.
 _installed = threading.local()
 
-#: Mailbox holding the most recent simulation makespan, readable by the
-#: performance checker's ``duration_source`` after each run.  Runs are
-#: strictly serialized by the trace session, so one slot suffices.
-_last_makespan: List[float] = [0.0]
+#: Mailbox holding the makespan a simulation run published, ``None``
+#: when cleared.  The runner clears and reads it around each run inside
+#: the process that runs the program (under the in-process session
+#: lock, or in the child) and carries the value on
+#: ``ExecutionResult.makespan``.
+_last_makespan: List[Optional[float]] = [None]
 
 
 def current_backend() -> ConcurrencyBackend:
@@ -197,11 +199,11 @@ def use_backend(backend: ConcurrencyBackend) -> Iterator[ConcurrencyBackend]:
         _installed.backend = previous_installed
 
 
-def last_makespan() -> float:
-    """Makespan recorded by the most recent simulation-backend run."""
+def last_makespan() -> Optional[float]:
+    """Makespan published since the mailbox was last cleared, else ``None``."""
     return _last_makespan[0]
 
 
-def record_makespan(value: float) -> None:
-    """Publish a run's virtual makespan for the performance checker."""
+def record_makespan(value: Optional[float]) -> None:
+    """Publish a run's virtual makespan; ``None`` clears the mailbox."""
     _last_makespan[0] = value

@@ -9,7 +9,8 @@ import pytest
 
 from repro.core.performance import AbstractConcurrencyPerformanceChecker
 from repro.execution.registry import register_main, unregister_main
-from repro.execution.runner import ExecutionResult
+from repro.execution.runner import ExecutionResult, ProgramRunner
+from repro.graders.suites import build_named_suite
 from repro.testfw.annotations import max_value
 from repro.tracing import print_property
 
@@ -100,6 +101,45 @@ class TestSpeedupVerdicts:
         checker.run()
         assert checker.last_low is not None and checker.last_low.runs == 3
         assert checker.last_high is not None and checker.last_high.runs == 3
+
+    def test_the_message_says_how_many_runs_each_total_covers(self):
+        def fake_duration(execution: ExecutionResult) -> float:
+            return 4.0 if execution.args[-1] == "1" else 1.0
+
+        checker = _PerfChecker("perf.test.flat", duration=fake_duration)
+        [outcome] = checker.run().outcomes
+        assert (
+            "(low total 4.0000s over 1 timed run, "
+            "high total 1.0000s over 1 timed run)"
+        ) in outcome.message
+        [wall] = _PerfChecker().run().outcomes
+        assert "over 3 timed runs" in wall.message
+
+
+class TestVirtualClockGradesAreUnchanged:
+    """Pinned with every configuration timed ten times, as the paper does."""
+
+    @pytest.mark.parametrize(
+        "suite, pinned",
+        [("primes", 3.9408673065433395), ("pi", 4.0), ("odds", 4.0)],
+    )
+    def test_same_grade_from_five_runs(self, suite, pinned, monkeypatch):
+        calls = []
+        run = ProgramRunner.run
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0])
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProgramRunner, "run", counting)
+        built = build_named_suite(suite)
+        results = built.run().results
+        performance = built.tests[1]
+        assert [r.score for r in results] == [40.0, 20.0]
+        assert performance.last_speedup == pytest.approx(pinned, rel=1e-12)
+        # The functionality run, then warm-up + one timed run per
+        # configuration: 23 runs with ten timed runs each.
+        assert len(calls) == 5
 
 
 class TestPrintsDisabled:

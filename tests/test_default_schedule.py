@@ -6,6 +6,10 @@ Pins the default controlled schedule (``preemption-bound:q1.r0``):
   ``hello.correct`` grade alike in process and on a pool worker —
   score, failure kind, per-aspect outcomes and recorded decisions — and
   ``jacobi.correct`` alike in a cold child;
+* every test of the primes, pi and odds suites, the virtual-clock
+  performance tests included, grades alike in process, on a pool worker
+  and in cold children, with the same speedup and the same number of
+  runs; so does ``primes.stdin`` with its input scripted;
 * a default grade names its schedule on its record, and reproduces:
   rerunning that schedule, or replaying the recorded trace, gives the
   same decisions;
@@ -50,6 +54,7 @@ from repro.simulation.backend import (
     use_backend,
 )
 from repro.testfw.annotations import max_value
+from repro.testfw.suite import TestSuite
 
 import repro.workloads  # noqa: F401 - registers the tested programs
 
@@ -88,9 +93,8 @@ def pool():
 def functionality_grades(suite):
     """Per functionality test: the grade and the recorded decisions.
 
-    The performance tests are left out: under ``subprocess_mode`` they
-    time child processes on the wall clock, not the virtual clock, and
-    score differently by design.
+    The performance tests time a fixed reference program, not the
+    variant, and follow no schedule; ``suite_grades`` compares them.
     """
     results = suite.run().results
     grades = []
@@ -132,6 +136,93 @@ class TestEveryRegimeGradesAlike:
         # start, lock and retire decisions of each round's four workers.
         assert cold[0][4] == DEFAULT_LABEL
         assert len(cold[0][5]) > 108
+
+
+def counted_runs(test):
+    """Count the runs *test*'s runner makes, in whichever regime."""
+    runs = []
+    make_runner = test.make_runner
+
+    def counting_runner():
+        runner = make_runner()
+        run = runner.run
+
+        def counting_run(*args, **kwargs):
+            runs.append(args[0])
+            return run(*args, **kwargs)
+
+        runner.run = counting_run
+        return runner
+
+    test.make_runner = counting_runner
+    return runs
+
+
+def suite_grades(suite):
+    """Per test: the grade, the speedup (performance tests) and runs made."""
+    runs = [counted_runs(test) for test in suite.tests]
+    results = suite.run().results
+    return [
+        (
+            result.test_name,
+            result.score,
+            result.failure_kind,
+            [(o.aspect, o.status, o.points_earned) for o in result.outcomes],
+            getattr(test, "last_speedup", None),
+            len(made),
+        )
+        for test, result, made in zip(suite.tests, results, runs)
+    ]
+
+
+class StdinPrimes(PrimesFunctionality):
+    """``primes.stdin`` reads its two parameters from scripted input.
+
+    They differ from the program's defaults (7 and 4), so a grade of
+    100% shows that the input reached the program.
+    """
+
+    def __init__(self) -> None:
+        super().__init__("primes.stdin", num_randoms=9, num_threads=3)
+
+    def args(self):
+        return []
+
+    def stdin_lines(self):
+        return ["9", "3"]
+
+
+class TestEveryRegimeTimesAlike:
+    @pytest.mark.parametrize("regime", ["pool", "cold"])
+    @pytest.mark.parametrize("suite_name", ["primes", "pi", "odds"])
+    def test_every_test_matches_in_process(self, suite_name, regime, pool):
+        in_process = suite_grades(build_named_suite(suite_name))
+        child = suite_grades(
+            build_named_suite(
+                suite_name,
+                subprocess_mode=True,
+                pool=pool if regime == "pool" else None,
+            )
+        )
+        assert child == in_process
+        functionality, performance = in_process
+        assert performance[1] == 20.0 and performance[4] > 1.5
+        # Warm-up and one timed run per configuration.
+        assert (functionality[5], performance[5]) == (1, 4)
+
+    @pytest.mark.parametrize("regime", ["pool", "cold"])
+    def test_scripted_stdin_reaches_the_child(self, regime, pool):
+        in_process = StdinPrimes()
+        in_process_grades = functionality_grades(TestSuite("stdin", [in_process]))
+        child = StdinPrimes()
+        child.make_runner = lambda: SubprocessRunner(
+            pool=pool if regime == "pool" else None
+        )
+        assert functionality_grades(TestSuite("stdin", [child])) == in_process_grades
+        assert in_process_grades[0][1] == 40.0
+        output = child.last_report.execution.output
+        assert output == in_process.last_report.execution.output
+        assert output.startswith("How many random numbers? How many threads? ")
 
 
 class TestDefaultGradeReproduces:

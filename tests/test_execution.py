@@ -16,6 +16,7 @@ from repro.execution.registry import (
 )
 from repro.execution.runner import ProgramRunner
 from repro.execution.timing import TimingResult, TimingSample, speedup, time_program
+from repro.simulation.backend import record_makespan
 from repro.tracing import print_property
 
 
@@ -251,3 +252,96 @@ class TestTiming:
         assert math.isnan(speedup(clean, dirty))
         assert math.isnan(speedup(dirty, clean))
         assert math.isnan(speedup(dirty, dirty))
+
+
+# ----------------------------------------------------------------------
+# The virtual-clock stopping rule
+# ----------------------------------------------------------------------
+@pytest.fixture
+def readings():
+    """A program whose n-th run publishes makespan ``readings[n]``.
+
+    ``None`` makes that run crash instead.
+    """
+    script = []
+
+    @register_main("test.timing.scripted")
+    def scripted(args):
+        reading = script.pop(0)
+        if reading is None:
+            raise RuntimeError("scripted crash")
+        record_makespan(reading)
+
+    yield script
+    unregister_main("test.timing.scripted")
+
+
+class CountingRunner(ProgramRunner):
+    """Counts the program runs the timing loop makes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def run(self, *args, **kwargs):
+        self.calls += 1
+        return super().run(*args, **kwargs)
+
+
+def time_scripted(script, values, *, virtual=True, runs=10, warmup_runs=1):
+    """Time the scripted program; returns the result and runs made."""
+    script.extend(values)
+    runner = CountingRunner()
+    result = time_program(
+        "test.timing.scripted",
+        [],
+        runs=runs,
+        runner=runner,
+        duration_of=(lambda execution: execution.makespan or 0.0) if virtual else None,
+        warmup_runs=warmup_runs,
+    )
+    return result, runner.calls
+
+
+class TestVirtualClockStopsOnARepeat:
+    def test_a_constant_source_makes_warm_up_and_one_timed_run(self, readings):
+        result, calls = time_scripted(readings, [2.0] * 11)
+        assert calls == 2
+        assert [s.duration for s in result.samples] == [2.0]
+        assert result.repeated and result.cap == 10
+        assert "1 run, stopped on a repeat (cap 10)" in result.describe()
+
+    def test_it_runs_until_two_consecutive_samples_agree(self, readings):
+        # The warm-up reads 5.0, an outlier the mean must not see.
+        result, calls = time_scripted(readings, [5.0, 3.0, 2.0, 2.0, 2.0])
+        assert calls == 4
+        assert [s.duration for s in result.samples] == [3.0, 2.0, 2.0]
+        assert result.mean == pytest.approx(7.0 / 3.0)
+
+    def test_a_source_that_never_repeats_runs_the_full_cap(self, readings):
+        result, calls = time_scripted(readings, [float(n) for n in range(11)])
+        assert calls == 11
+        assert result.runs == 10 and not result.repeated
+        assert "stopped" not in result.describe()
+
+    def test_a_failed_run_between_equal_readings_does_not_stop(self, readings):
+        result, calls = time_scripted(readings, [2.0, None, 2.0, 2.0, 2.0])
+        assert calls == 4
+        assert [s.kind for s in result.samples] == ["crash", "ok", "ok"]
+        assert result.clean_runs == 2 and result.repeated
+
+    def test_without_warm_up_two_timed_samples_must_agree(self, readings):
+        result, calls = time_scripted(readings, [2.0] * 10, warmup_runs=0)
+        assert calls == 2
+        assert [s.duration for s in result.samples] == [2.0, 2.0]
+
+    def test_the_wall_clock_makes_warm_up_and_every_timed_run(self, readings):
+        result, calls = time_scripted(readings, [2.0] * 4, virtual=False, runs=3)
+        assert calls == 4
+        assert result.runs == 3 and not result.repeated
+
+    def test_speedup_divides_means_not_totals(self):
+        low = TimingResult("x", [], [TimingSample(4.0, True)] * 3)
+        high = TimingResult("x", [], [TimingSample(1.0, True)])
+        # The ratio of totals would read 12.0.
+        assert speedup(low, high) == 4.0
