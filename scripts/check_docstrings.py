@@ -48,6 +48,7 @@ AUDITED = [
     "src/repro/obs/registry.py",
     "src/repro/obs/spans.py",
     "src/repro/obs/views.py",
+    "src/repro/util/carriers.py",
 ]
 
 

@@ -22,7 +22,7 @@ SubprocessRunner` relies on:
 * ``--schedule=<json>`` before the identifier runs the program under a
   controlled schedule: the JSON is a strategy ``spec()``
   (:func:`repro.execution.scheduling.strategy_from_spec`), the program
-  runs on a root thread under a
+  runs on a root thread (a leased carrier) under a
   :class:`~repro.execution.scheduling.ScheduledBackend`, every emitted
   stdout line is a yield point (where the in-process trace session
   yields), and one ``@repro-schedule <json>`` stderr record before any
@@ -52,6 +52,7 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.tracing.print_property import standalone_thread_id
+from repro.util.carriers import lease, run_scope
 
 #: Property name of the root-identification marker line.
 ROOT_MARKER = "__root__"
@@ -176,7 +177,10 @@ def run_program(
     """Run *program* with its output on *wrapper*: the child's one run.
 
     The infrastructure's root marker is printed from the thread that
-    runs ``main``, first, so the root takes the first trace id.
+    runs ``main``, first, so the root takes the first trace id.  The
+    run is one carrier scope (:func:`repro.util.carriers.run_scope`):
+    its threads are leased carriers, parked for the next request once
+    the run is over.
     Returns the traceback text of an exception escaping ``main`` (empty
     when it returned); when *schedule* (a strategy ``spec()``) was
     given, the controlled run's record ``{"trace", "stalled"}``, else
@@ -205,7 +209,8 @@ def run_program(
     record_makespan(None)
     try:
         if schedule is None:
-            root_body()
+            with run_scope():
+                root_body()
             return "".join(failure), None, last_makespan()
 
         from repro.execution.scheduling import ScheduledBackend, strategy_from_spec
@@ -213,9 +218,9 @@ def run_program(
 
         backend = ScheduledBackend(strategy_from_spec(schedule))
         wrapper.yield_hook = backend.trace_yield
-        root = threading.Thread(target=root_body, name="root", daemon=True)
         try:
-            with use_backend(backend):
+            with run_scope(), use_backend(backend):
+                root = lease(root_body, "root")
                 root.start()
                 outcome = backend.await_root(root, None)
         finally:

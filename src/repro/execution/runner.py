@@ -3,7 +3,8 @@
 This is the common layer both the functionality and performance checkers
 use (§4.4): it invokes the tested program's ``main`` with specified
 arguments, lets it run to full completion, and collects its output plus
-the event trace.  The program runs on a dedicated *root thread* so that
+the event trace.  The program runs on a dedicated *root thread*, a
+carrier leased for the run (:mod:`repro.util.carriers`), so that
 
 * the root thread of the fork-join model is a first-class, identifiable
   thread object distinct from the harness's own thread;
@@ -27,6 +28,7 @@ from repro.eventdb.events import PropertyEvent
 from repro.execution.registry import MainFunction, resolve_main
 from repro.obs import get_registry as _obs_registry
 from repro.tracing.session import TraceSession
+from repro.util.carriers import lease, run_scope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.execution.scheduling import ScheduledBackend, ScheduleTrace
@@ -297,7 +299,9 @@ class ProgramRunner:
         args = list(args) if args is not None else []
 
         session = TraceSession(hidden=hide_prints, echo=self.echo)
-        feed = StdinFeed(stdin_lines) if stdin_lines is not None else None
+        # No script is an empty one: the program reads EOF, never the
+        # grader's own stdin, as in a child process.
+        feed = StdinFeed(stdin_lines)
         holder: dict = {"exception": None}
 
         def root_body() -> None:
@@ -306,7 +310,6 @@ class ProgramRunner:
             except BaseException as exc:  # noqa: BLE001 - reported, not raised
                 holder["exception"] = exc
 
-        root = threading.Thread(target=root_body, name=f"root:{identifier}")
         started = time.perf_counter()
         with _SESSION_LOCK:
             backend = controlled
@@ -317,14 +320,18 @@ class ProgramRunner:
                 # The free rerun of a run that stalled under the
                 # caller's schedule.
                 backend = ThreadingBackend()
-            if feed is not None:
-                feed.install()
+            feed.install()
             record_makespan(None)
             try:
                 with contextlib.ExitStack() as stack:
+                    # Closed last, still under the session lock, so no
+                    # other run can lease this run's carriers while it
+                    # still waits on them.
+                    stack.enter_context(run_scope())
                     if backend is not None:
                         stack.enter_context(use_backend(backend))
                     stack.enter_context(session.activate())
+                    root = lease(root_body, f"root:{identifier}")
                     # Register the root thread first so it receives the
                     # lowest id, as in the paper's traces where the root
                     # prints first.
@@ -339,8 +346,7 @@ class ProgramRunner:
                         # prints.
                         outcome = controlled.await_root(root, limit)
             finally:
-                if feed is not None:
-                    feed.uninstall()
+                feed.uninstall()
             makespan = last_makespan()
         duration = time.perf_counter() - started
 

@@ -86,6 +86,7 @@ from typing import (
     Union,
 )
 
+from repro.util.carriers import lease
 from repro.util.handoff import Handoff
 
 __all__ = [
@@ -1027,6 +1028,16 @@ class ScheduledBackend:
 
     # -- workload API ---------------------------------------------------
     def spawn(self, target: Callable[[], None], name: str = "") -> threading.Thread:
+        """An unstarted worker running *target* under the schedule.
+
+        The worker is *name*, or ``worker-<k>`` in spawn order, and its
+        key is its spawn order.  The thread returned is a
+        :class:`~repro.util.carriers.CarrierThread` leased for the
+        run: the thread that runs the body, what
+        ``threading.current_thread()`` returns inside it, and a daemon,
+        so a timed-out controlled run cannot pin the process on workers
+        parked in the scheduler gate.
+        """
         with self._spawn_lock:
             key = self._spawned
             self._spawned += 1
@@ -1043,9 +1054,7 @@ class ScheduledBackend:
             finally:
                 scheduler.retire()
 
-        # Daemon: a timed-out controlled run must not pin the process on
-        # workers parked in the scheduler gate.
-        return threading.Thread(target=gated, name=label, daemon=True)
+        return lease(gated, label)
 
     def start_all(self, threads: List[threading.Thread]) -> None:
         for thread in threads:

@@ -5,9 +5,10 @@ Tested programs written against this tiny API — ``spawn``, ``join_all``,
 
 * :class:`ThreadingBackend` — plain ``threading`` (the default; the
   regime the paper's Java programs use);
-* :class:`SimulationBackend` — real threads gated by the cooperative
-  scheduler with a chosen interleaving policy, accruing *virtual* cost on
-  the :class:`~repro.simulation.clock.VirtualClock`.  Deterministic
+* :class:`SimulationBackend` — real threads (leased carriers,
+  :mod:`repro.util.carriers`) gated by the cooperative scheduler with a
+  chosen interleaving policy, accruing *virtual* cost on the
+  :class:`~repro.simulation.clock.VirtualClock`.  Deterministic
   interleavings for functionality testing; deterministic speedups for
   performance testing despite the GIL.
 
@@ -26,6 +27,7 @@ from typing import Callable, Iterator, List, Optional
 
 from repro.simulation.clock import VirtualClock
 from repro.simulation.scheduler import CooperativeScheduler, SchedulePolicy
+from repro.util.carriers import lease
 
 __all__ = [
     "ConcurrencyBackend",
@@ -106,6 +108,15 @@ class SimulationBackend(ConcurrencyBackend):
         self._lock = threading.Lock()
 
     def spawn(self, target: Callable[[], None], name: str = "") -> threading.Thread:
+        """An unstarted worker running *target* under the policy.
+
+        The worker is *name*, or ``worker-<k>`` in spawn order.  The
+        thread returned is a :class:`~repro.util.carriers.CarrierThread`
+        leased for the run: the thread that runs the body and what
+        ``threading.current_thread()`` returns inside it.  Its
+        ``start()`` returns once the body runs, so workers enroll in
+        the order they are started.
+        """
         scheduler = self.scheduler
 
         def gated() -> None:
@@ -116,8 +127,9 @@ class SimulationBackend(ConcurrencyBackend):
                 scheduler.retire()
 
         with self._lock:
+            key = self._spawned
             self._spawned += 1
-        return threading.Thread(target=gated, name=name or None)
+        return lease(gated, name or f"worker-{key}")
 
     def start_all(self, threads: List[threading.Thread]) -> None:
         self.clock.set_root()

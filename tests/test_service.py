@@ -16,7 +16,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 import warnings
 
 import pytest
@@ -329,13 +328,30 @@ class TestServiceEndToEnd:
             text=True,
             env=_worker_env(),
         )
-        time.sleep(1.5)
+        # Signal once the first submission is journaled, so the batch
+        # is mid-flight however fast the worker grades.
+        lines = []
+        first_graded = threading.Event()
+
+        def read_events() -> None:
+            for line in proc.stdout:
+                lines.append(line)
+                if line.startswith(EVENT_PREFIX) and (
+                    json.loads(line[len(EVENT_PREFIX):])["event"] == "graded"
+                ):
+                    first_graded.set()
+            first_graded.set()
+
+        reader = threading.Thread(target=read_events, daemon=True)
+        reader.start()
+        assert first_graded.wait(60)
         proc.send_signal(signal.SIGTERM)
-        out, _ = proc.communicate(timeout=60)
+        proc.wait(timeout=60)
+        reader.join(60)
         assert proc.returncode == 0
         events = [
             json.loads(line[len(EVENT_PREFIX):])
-            for line in out.splitlines()
+            for line in lines
             if line.startswith(EVENT_PREFIX)
         ]
         kinds = [event["event"] for event in events]

@@ -117,6 +117,21 @@ class TestRunnerWithStdin:
         runner.run("primes.correct", ["3", "2"], stdin_lines=["unused"])
         assert builtins.input is before
 
+    def test_unscripted_run_reads_eof_not_the_graders_stdin(
+        self, monkeypatch, capsys
+    ):
+        """A test that scripts no input gives the program an empty
+        stdin in process too: ``primes.stdin`` falls back to its
+        defaults whatever the grader itself was fed."""
+        import io
+
+        from repro.cli import main
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO("9\n3\n"))
+        assert main(["grade", "primes", "--submissions", "primes.stdin"]) == 0
+        assert "primes.stdin              100.0%" in capsys.readouterr().out
+        assert sys.stdin.read() == "9\n3\n"
+
 
 def make_suite_result() -> SuiteResult:
     return SuiteResult(
