@@ -48,6 +48,8 @@ AUDITED = [
     "src/repro/obs/registry.py",
     "src/repro/obs/spans.py",
     "src/repro/obs/views.py",
+    "src/repro/tracing/print_property.py",
+    "src/repro/tracing/session.py",
     "src/repro/util/carriers.py",
 ]
 

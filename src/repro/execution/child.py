@@ -13,9 +13,10 @@ SubprocessRunner` relies on:
   infrastructure from the root thread* before the program runs, so the
   parent can identify the root even for programs whose root never
   prints (e.g. the Hello World variants);
-* when the environment variable ``REPRO_HIDE_PRINTS`` is ``1``, all
-  ``print_property`` output is disabled (the standalone analogue of
-  ``set_hide_redirected_prints``) and nothing at all is written;
+* when the environment variable ``REPRO_HIDE_PRINTS`` is ``1``, every
+  print is disabled (the standalone hide flag, which the program's own
+  ``set_hide_redirected_prints`` also sets) and nothing at all is
+  written;
 * program exceptions exit with status 70 after writing the exception to
   stderr, so the parent reports them the way the in-process runner
   reports a captured exception;
@@ -51,7 +52,7 @@ import threading
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.tracing.print_property import standalone_thread_id
+from repro.tracing.print_property import standalone_hidden, standalone_thread_id
 from repro.util.carriers import lease, run_scope
 
 #: Property name of the root-identification marker line.
@@ -85,7 +86,10 @@ class _LineAtomicStdout:
     buffering.  For each emitted line it also writes an attribution
     record to stderr carrying the printing thread's standalone trace id,
     so the parent can keep thread identity even for lines whose text
-    does not mention a thread (the Hello World case).
+    does not mention a thread (the Hello World case).  While the
+    standalone hide flag is set (``REPRO_HIDE_PRINTS``, or the program's
+    own ``set_hide_redirected_prints(True)``) writes are dropped, as the
+    in-process interceptor drops them: no output, no line index.
     """
 
     def __init__(self, real, err) -> None:
@@ -102,6 +106,8 @@ class _LineAtomicStdout:
         self.yield_hook: Optional[Callable[[], None]] = None
 
     def write(self, text: str) -> int:
+        if standalone_hidden():
+            return len(text)
         buffers = self._buffers
         buffer = getattr(buffers, "value", "") + text
         if "\n" not in text:
@@ -140,7 +146,7 @@ class _LineAtomicStdout:
         line's attribution record lets the parent do the same.
         """
         text = str(prompt)
-        if text:
+        if text and not standalone_hidden():
             self.write(text)
             ident = threading.get_ident()
             self._prompts[ident] = (

@@ -170,7 +170,9 @@ def follow_schedule(
     it returns the result and, if the controlled run stalled outside
     the scheduler, why.  A stalled run is rerun once off the scheduler
     within the rest of *limit*: that result carries no schedule, the
-    time of both runs, and the reason in ``schedule_note``.
+    time of both runs, and the reason in ``schedule_note``.  Each such
+    rerun counts on the ``runner.stall_reruns`` obs counter, in the
+    process that chose the schedule (the parent, for a child's run).
     """
     from repro.execution.scheduling import ScheduledBackend, resolve_schedule_strategy
     from repro.simulation.backend import installed_backend
@@ -186,6 +188,7 @@ def follow_schedule(
     result, stall = run_once(controlled, limit)
     if not stall:
         return result
+    _obs_registry().counter("runner.stall_reruns").inc()
     rerun, _ = run_once(None, max(0.0, limit - result.duration))
     rerun.duration += result.duration
     rerun.schedule_note = (

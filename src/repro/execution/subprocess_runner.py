@@ -46,7 +46,7 @@ from repro.execution.child import (
 from repro.execution.registry import UnknownMainError
 from repro.execution.runner import DEFAULT_TIMEOUT, ExecutionResult, follow_schedule
 from repro.execution.taxonomy import detect_garbled_lines
-from repro.execution.worker_pool import PoolResult
+from repro.execution.worker_pool import PoolResult, pooled_child_env
 from repro.obs import get_registry as _obs_registry
 from repro.tracing.formatting import parse_property_line
 from repro.util.thread_registry import ThreadRegistry
@@ -184,8 +184,9 @@ class SubprocessRunner:
         self.pool = pool
         # Hoisted env construction: one snapshot per runner, with the
         # hidden/shown variants precomputed so the hot loop never copies
-        # a dict per run.
-        base = child_environment()
+        # a dict per run.  The same environment as a pool worker's, so
+        # a cold child imports the code this process runs.
+        base = pooled_child_env()
         self._env_by_hidden = {
             False: {**base, "REPRO_HIDE_PRINTS": "0"},
             True: {**base, "REPRO_HIDE_PRINTS": "1"},

@@ -82,12 +82,14 @@ class PoolResult:
 
 
 def pooled_child_env() -> Dict[str, str]:
-    """Deterministic environment for pool workers.
+    """Deterministic environment for every child interpreter.
 
-    Starts from the parent environment with undocumented ``REPRO_*``
-    variables stripped (only the documented overrides pass through; see
-    ``DOCUMENTED_REPRO_VARS``), and prepends this ``repro`` package's
-    root to ``PYTHONPATH`` so the worker resolves the same code the
+    Pool workers and cold children (:class:`~repro.execution.
+    subprocess_runner.SubprocessRunner`) both start from it.  It is the
+    parent environment with undocumented ``REPRO_*`` variables stripped
+    (only the documented overrides pass through; see
+    ``DOCUMENTED_REPRO_VARS``), and this ``repro`` package's root
+    prepended to ``PYTHONPATH``, so the child resolves the same code the
     parent is running, however the parent was launched.
     """
     from repro.execution.subprocess_runner import child_environment

@@ -8,8 +8,10 @@ logical-variable name and value in the standard form::
 
 Under a trace session the line is additionally recorded as an explicit
 property event carrying the live value object and the actual printing
-thread.  Outside a session — a student running their program normally —
-it simply prints, so the same source serves development and grading.
+thread.  Outside a session — a student running their program normally,
+or a child process of the grader — it simply prints, unless the
+standalone hide flag is set, so the same source serves development and
+grading.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ _standalone_registry = ThreadRegistry()
 # Standalone analogue of the session hide flag: a tested program running
 # as a *subprocess* (no in-process session) still needs its trace prints
 # disabled during performance timing.  Set by the child entry point from
-# the REPRO_HIDE_PRINTS environment variable.
+# the REPRO_HIDE_PRINTS environment variable, and by the program's own
+# set_hide_redirected_prints outside a session.
 _standalone_hidden = False
 
 

@@ -36,9 +36,16 @@ _current: Optional["TraceSession"] = None
 
 
 def current_session() -> Optional["TraceSession"]:
-    """The active session, or ``None`` when running outside the harness."""
-    with _session_lock:
-        return _current
+    """The active session, or ``None`` when running outside the harness.
+
+    Reads the module slot without taking the session lock: every print
+    of a tested program asks, hidden ones included.  Reading one module
+    global is atomic under the GIL, and install and uninstall still
+    write the slot under the lock.  A locked read released the lock
+    before the caller used the session anyway, so no caller can see a
+    session it could not see with the lock.
+    """
+    return _current
 
 
 def set_hide_redirected_prints(hidden: bool) -> None:
@@ -46,18 +53,29 @@ def set_hide_redirected_prints(hidden: bool) -> None:
 
     Callable by both tested and testing programs, as in the paper.  A
     disabled print produces no output and makes no change to the trace.
-    Outside a session this is a no-op: the tested program then behaves as
-    a normal console program.
+    Outside a session the call sets the standalone hide flag
+    (:func:`repro.tracing.print_property.set_standalone_hidden`): a
+    program run in a child process, or on its own, then hides its
+    prints just as it would in process.
     """
-    session = current_session()
+    session = _current
     if session is not None:
         session.hidden = hidden
+        return
+    from repro.tracing.print_property import set_standalone_hidden
+
+    set_standalone_hidden(hidden)
 
 
 def get_hide_redirected_prints() -> bool:
-    """Whether intercepted prints are currently disabled."""
-    session = current_session()
-    return session.hidden if session is not None else False
+    """Whether prints are currently disabled: the active session's flag,
+    else the standalone hide flag."""
+    session = _current
+    if session is not None:
+        return session.hidden
+    from repro.tracing.print_property import standalone_hidden
+
+    return standalone_hidden()
 
 
 class TraceSession:
@@ -83,6 +101,14 @@ class TraceSession:
         registry: Optional[ThreadRegistry] = None,
         echo: bool = False,
     ) -> None:
+        """A session that is not yet active.
+
+        ``hidden`` starts the run with every print disabled (performance
+        timing); ``registry`` hands out the trace's thread ids (a fresh
+        :class:`~repro.util.thread_registry.ThreadRegistry` by default);
+        ``echo`` also forwards the program's output to the genuine
+        stdout.
+        """
         self.registry = registry if registry is not None else ThreadRegistry()
         self.database = EventDatabase(self.registry)
         self.observers = ObserverRegistry()
@@ -123,6 +149,11 @@ class TraceSession:
             self._session._uninstall()
 
     def activate(self) -> "TraceSession._Activation":
+        """Context manager: install this session for the ``with`` body.
+
+        Raises :class:`RuntimeError` on entry if another session is
+        active; sessions do not nest.
+        """
         return TraceSession._Activation(self)
 
     def _install(self) -> None:
@@ -168,6 +199,7 @@ class TraceSession:
 
     @property
     def active(self) -> bool:
+        """Whether this session is the one currently installed."""
         with _session_lock:
             return _current is self
 
@@ -207,15 +239,21 @@ class TraceSession:
             return "\n".join(self._captured) + ("\n" if self._captured else "")
 
     def output_lines(self) -> List[str]:
+        """The program's output lines so far, in write order."""
         with self._capture_lock:
             return list(self._captured)
 
     def writer(self) -> RedirectingWriter:
+        """The ``sys.stdout`` replacement of this active session.
+
+        Raises :class:`RuntimeError` when the session is not active.
+        """
         if self._writer is None:
             raise RuntimeError("session is not active")
         return self._writer
 
     def add_observer(self, observer: PrintObserver) -> None:
+        """Announce every event this session records to *observer*."""
         self.observers.add(observer)
 
     def emit_property_line(self, name: str, value: Any) -> None:

@@ -10,6 +10,7 @@ from repro.simulation.backend import (
     SimulationBackend,
     record_makespan,
 )
+from repro.simulation.scheduler import SerializedPolicy
 from repro.simulation.workload_model import UNIT_COST_MODEL
 from repro.tracing import print_property
 from repro.workloads.common import (
@@ -77,7 +78,9 @@ def main_latency(args: List[str]) -> None:
 
 @register_main("odds.perf.sim")
 def main_sim(args: List[str]) -> None:
-    backend = SimulationBackend()
+    # Run each worker until it retires: the makespan is the same
+    # under every interleaving (see repro.workloads.primes.perf).
+    backend = SimulationBackend(SerializedPolicy())
 
     def charge() -> None:
         backend.checkpoint(cost=UNIT_COST_MODEL.item_cost())

@@ -18,6 +18,10 @@ checker code path under different work kernels (DESIGN.md §3):
 ``primes.perf.sim``
     the simulation backend's virtual clock — deterministic, hardware-
     independent speedup equal to the workload's critical-path ratio.
+    Each worker runs until it retires (``SerializedPolicy``): the
+    makespan sums every thread's costs in that thread's own order, so
+    no interleaving can change it, and the run switches threads only
+    when a worker retires.
 
 All variants take ``main([num_randoms, num_threads])`` and print the
 standard primes properties (disabled automatically during timing).
@@ -33,6 +37,7 @@ from repro.simulation.backend import (
     SimulationBackend,
     record_makespan,
 )
+from repro.simulation.scheduler import SerializedPolicy
 from repro.simulation.workload_model import trial_division_cost
 from repro.tracing import print_property
 from repro.workloads.common import (
@@ -124,7 +129,9 @@ def main_cpu(args: List[str]) -> None:
 
 @register_main("primes.perf.sim")
 def main_sim(args: List[str]) -> None:
-    backend = SimulationBackend()
+    # Run each worker until it retires: the makespan is the same
+    # under every interleaving, and the grant moves only at a retire.
+    backend = SimulationBackend(SerializedPolicy())
 
     def charge(number: int) -> None:
         backend.checkpoint(cost=trial_division_cost(number))

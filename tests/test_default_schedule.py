@@ -17,7 +17,8 @@ Pins the default controlled schedule (``preemption-bound:q1.r0``):
   in a child: ``use_backend(ThreadingBackend())`` runs on free threads;
 * a run that stalls outside the scheduler (a raw lock held across a
   print) gets its free-running grade within two seconds, in process and
-  pooled, and prints nothing outside its session; two such runs on two
+  pooled, counts one ``runner.stall_reruns`` in the grading process,
+  and prints nothing outside its session; two such runs on two
   threads leave no backend installed behind them; a worker that
   computes for longer than the stall window keeps its schedule;
 * race analysis sees a lock only when it comes from ``backend.lock()``.
@@ -46,6 +47,7 @@ from repro.execution.worker_pool import WorkerPool
 from repro.grading.records import TestRecord
 from repro.graders.primes import PrimesFunctionality
 from repro.graders.suites import build_named_suite, build_primes_suite
+from repro.obs import get_registry
 from repro.simulation.backend import (
     SimulationBackend,
     ThreadingBackend,
@@ -388,10 +390,14 @@ class TestStalledScheduleFallsBack:
         checker = RawLockChecker(program)
         if regime == "pool":
             checker.make_runner = lambda: SubprocessRunner(timeout=3.0, pool=pool)
+        reruns = get_registry().counter("runner.stall_reruns")
+        before = reruns.value
         started = time.perf_counter()
         result = checker.run()
         elapsed = time.perf_counter() - started
         assert elapsed < 2.0
+        # Counted once, in this process, whichever process ran it.
+        assert reruns.value == before + 1
         assert result.failure_kind == "ok"
         assert not result.fatal
         lost = [

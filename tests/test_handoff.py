@@ -9,6 +9,9 @@ Three kinds of check:
   what each policy is asked, in which order, and what it answers, plus
   the virtual makespans of ``primes.perf.sim`` — so a rewrite of the
   gate cannot silently change a grant;
+* the timing programs' makespans, recorded under round-robin grants
+  before they moved to ``SerializedPolicy``, and the wake-ups a hidden
+  timing run makes: one per worker;
 * stress: more workers than cores under a tiny GIL switch interval,
   where two workers running at once would lose counter updates, and an
   ``abort()`` that must release workers parked on the grant and on a
@@ -242,6 +245,95 @@ def decision_stream(policy, workers=4, steps=5):
     return " ".join(log)
 
 
+#: ``(REPRO_WORKLOAD_SEED, program, n) -> makespan repr`` at 1, 2, 3, 4
+#: and 8 threads, for the three ``<program>.perf.sim`` timing programs,
+#: recorded while they still ran under round-robin grants.
+TIMING_THREADS = (1, 2, 3, 4, 8)
+TIMING_MAKESPANS = {
+    (None, "primes", 10): (
+        "1.9356756889902123",
+        "1.0464209105852287",
+        "0.8383343901183806",
+        "0.710526159181954",
+        "0.46525750544845806",
+    ),
+    (None, "primes", 100): (
+        "21.952194268211105",
+        "11.106478392359033",
+        "7.443958174064594",
+        "5.570396707283727",
+        "3.0544425735331946",
+    ),
+    (None, "primes", 333): (
+        "70.36520726037719",
+        "36.277825942720646",
+        "24.443284184549093",
+        "18.359595961431193",
+        "9.21024946016354",
+    ),
+    (None, "pi", 10): ("10.0", "5.0", "4.0", "3.0", "2.0"),
+    (None, "pi", 100): ("100.0", "50.0", "34.0", "25.0", "13.0"),
+    (None, "pi", 333): ("333.0", "167.0", "111.0", "84.0", "42.0"),
+    (None, "odds", 10): ("10.0", "5.0", "4.0", "3.0", "2.0"),
+    (None, "odds", 100): ("100.0", "50.0", "34.0", "25.0", "13.0"),
+    (None, "odds", 333): ("333.0", "167.0", "111.0", "84.0", "42.0"),
+    ("7", "primes", 10): (
+        "2.3237394951951535",
+        "1.3586956547680495",
+        "1.1182793491646235",
+        "0.8187797665271846",
+        "0.5610335192498792",
+    ),
+    ("7", "primes", 100): (
+        "21.87088474931472",
+        "10.954160096063614",
+        "7.5731942487745005",
+        "5.49815968041194",
+        "3.2505384808249387",
+    ),
+    ("7", "primes", 333): (
+        "72.2588509753115",
+        "36.34421454700972",
+        "24.575403150185505",
+        "18.313320981214712",
+        "9.514497300016448",
+    ),
+    ("7", "pi", 10): ("10.0", "5.0", "4.0", "3.0", "2.0"),
+    ("7", "pi", 100): ("100.0", "50.0", "34.0", "25.0", "13.0"),
+    ("7", "pi", 333): ("333.0", "167.0", "111.0", "84.0", "42.0"),
+    ("7", "odds", 10): ("10.0", "5.0", "4.0", "3.0", "2.0"),
+    ("7", "odds", 100): ("100.0", "50.0", "34.0", "25.0", "13.0"),
+    ("7", "odds", 333): ("333.0", "167.0", "111.0", "84.0", "42.0"),
+    ("123", "primes", 10): (
+        "1.6794324185252913",
+        "0.9196481712988522",
+        "0.6181519026652256",
+        "0.5446672103817303",
+        "0.3170006055212138",
+    ),
+    ("123", "primes", 100): (
+        "20.450845481389955",
+        "10.453971756850619",
+        "7.11295352135193",
+        "5.31129673089268",
+        "2.931199380260025",
+    ),
+    ("123", "primes", 333): (
+        "67.75732790693073",
+        "34.21773156904957",
+        "23.29680439056896",
+        "17.400186898535352",
+        "8.962596356695887",
+    ),
+    ("123", "pi", 10): ("10.0", "5.0", "4.0", "3.0", "2.0"),
+    ("123", "pi", 100): ("100.0", "50.0", "34.0", "25.0", "13.0"),
+    ("123", "pi", 333): ("333.0", "167.0", "111.0", "84.0", "42.0"),
+    ("123", "odds", 10): ("10.0", "5.0", "4.0", "3.0", "2.0"),
+    ("123", "odds", 100): ("100.0", "50.0", "34.0", "25.0", "13.0"),
+    ("123", "odds", 333): ("333.0", "167.0", "111.0", "84.0", "42.0"),
+}
+
+
 class TestGoldenDecisions:
     @pytest.mark.parametrize("name", sorted(GOLDEN_DECISIONS))
     def test_policy_calls_are_unchanged(self, name):
@@ -258,6 +350,46 @@ class TestGoldenDecisions:
         )
         assert result.ok, result.failure_reason()
         assert f"{last_makespan():.9f}" == makespan
+
+    @pytest.mark.parametrize("program", ["primes", "pi", "odds"])
+    @pytest.mark.parametrize("seed", [None, "7", "123"])
+    def test_timing_makespans_match_round_robin(self, monkeypatch, seed, program):
+        if seed is None:
+            monkeypatch.delenv("REPRO_WORKLOAD_SEED", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_WORKLOAD_SEED", seed)
+        runner = ProgramRunner(timeout=JOIN_TIMEOUT)
+        for n in (10, 100, 333):
+            measured = []
+            for threads in TIMING_THREADS:
+                result = runner.run(
+                    f"{program}.perf.sim", [str(n), str(threads)], hide_prints=True
+                )
+                assert result.ok, result.failure_reason()
+                measured.append(repr(result.makespan))
+            assert tuple(measured) == TIMING_MAKESPANS[seed, program, n], n
+
+    def test_a_hidden_timing_run_wakes_each_worker_once(self, monkeypatch):
+        """The grant moves only when a worker retires: round-robin woke
+        a parked worker 104 times in this run, once per checkpoint."""
+        releases = []
+        unpark = Handoff.unpark
+
+        def counting_unpark(self, key):
+            baton = self._batons.get(key)
+            if baton is not None and baton.parked:
+                releases.append(key)
+            unpark(self, key)
+
+        monkeypatch.delenv("REPRO_WORKLOAD_SEED", raising=False)
+        monkeypatch.setattr(Handoff, "unpark", counting_unpark)
+        result = ProgramRunner(timeout=JOIN_TIMEOUT).run(
+            "primes.perf.sim", ["100", "4"], hide_prints=True
+        )
+        assert result.ok, result.failure_reason()
+        assert repr(result.makespan) == TIMING_MAKESPANS[None, "primes", 100][3]
+        assert len(releases) <= 4
+        assert len(set(releases)) == len(releases)
 
 
 # ----------------------------------------------------------------------

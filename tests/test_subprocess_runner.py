@@ -7,8 +7,10 @@ import textwrap
 import pytest
 
 from repro.execution.registry import UnknownMainError
+from repro.execution.runner import ProgramRunner
 from repro.execution.subprocess_runner import SubprocessRunner, active_child_count
 from repro.execution.taxonomy import FailureKind
+from repro.execution.worker_pool import WorkerPool
 from repro.graders import HelloFunctionality, PrimesFunctionality
 
 
@@ -240,3 +242,58 @@ class TestGradingStudentFiles:
 
         assert SubprocessHello("hello.correct").run().percent == 100.0
         assert SubprocessHello("hello.no_fork").run().percent == 0.0
+
+
+#: Hides its prints mid-run, as a tested program may: a property, a
+#: plain print and an ``input()`` prompt while hidden, then unhides.
+SELF_HIDING = textwrap.dedent(
+    """
+    from repro.tracing import print_property, set_hide_redirected_prints
+
+    def main(args):
+        print_property("Before", 1)
+        set_hide_redirected_prints(True)
+        print_property("Hidden", 2)
+        print("plain hidden")
+        answer = input("Hidden prompt? ")
+        set_hide_redirected_prints(False)
+        print_property("After", answer)
+    """
+)
+
+
+class TestProgramHidesItsOwnPrints:
+    """``set_hide_redirected_prints`` works in every regime, not only
+    under an in-process session."""
+
+    def test_events_and_output_match_in_process(self, tmp_path):
+        program = tmp_path / "self_hiding.py"
+        program.write_text(SELF_HIDING)
+        with WorkerPool(1) as pool:
+            runs = {
+                "in-process": ProgramRunner(timeout=60.0),
+                "pooled": SubprocessRunner(timeout=60.0, pool=pool),
+                "cold": SubprocessRunner(timeout=60.0),
+            }
+            seen = {}
+            for regime, runner in runs.items():
+                result = runner.run(str(program), [], stdin_lines=["yes"])
+                assert result.ok, (regime, result.failure_reason())
+                seen[regime] = (
+                    [(e.name, e.raw_line) for e in result.events],
+                    result.output,
+                )
+        assert [name for name, _ in seen["in-process"][0]] == ["Before", "After"]
+        assert seen["in-process"][0][1][1].endswith("After:yes")
+        assert seen["pooled"] == seen["in-process"]
+        assert seen["cold"] == seen["in-process"]
+
+
+class TestColdChildEnvironment:
+    def test_a_cold_child_imports_repro_without_pythonpath(self, monkeypatch):
+        """The child gets this package's root on its path, as a pool
+        worker does, however the parent found the package."""
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        result = SubprocessRunner(timeout=60.0).run("hello.correct", ["2"])
+        assert result.ok, result.failure_reason()
+        assert result.output.count("Hello Concurrent World") == 2

@@ -7,7 +7,11 @@ import threading
 
 import pytest
 
-from repro.tracing.print_property import print_property
+from repro.tracing.print_property import (
+    print_property,
+    set_standalone_hidden,
+    standalone_hidden,
+)
 from repro.tracing.session import (
     TraceSession,
     current_session,
@@ -148,9 +152,32 @@ class TestHiding:
     def test_get_hide_outside_session_is_false(self):
         assert get_hide_redirected_prints() is False
 
-    def test_set_hide_outside_session_is_noop(self):
-        set_hide_redirected_prints(True)  # must not raise or leak
+    def test_set_hide_outside_session_sets_the_standalone_flag(self, capsys):
+        """A program running in a child, or on its own, hides its prints
+        as it would under a session."""
+        try:
+            set_hide_redirected_prints(True)
+            assert get_hide_redirected_prints() is True
+            assert standalone_hidden() is True
+            print_property("Index", 5)
+            assert capsys.readouterr().out == ""
+        finally:
+            set_hide_redirected_prints(False)
         assert get_hide_redirected_prints() is False
+
+    def test_a_session_keeps_its_own_flag(self):
+        try:
+            set_standalone_hidden(True)
+            session = TraceSession()
+            with session.activate():
+                assert get_hide_redirected_prints() is False
+                print_property("Index", 0)
+                set_hide_redirected_prints(True)
+            assert session.hidden is True
+            assert standalone_hidden() is True
+            assert len(session.database) == 1
+        finally:
+            set_standalone_hidden(False)
 
     def test_get_hide_reflects_session_flag(self):
         session = TraceSession(hidden=True)
